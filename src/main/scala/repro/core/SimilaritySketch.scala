@@ -26,15 +26,13 @@ trait SimilaritySketch extends Serializable {
 }
 
 /** Shared per-user exact counters n_u — the paper keeps one counter per
-  * occurred user for every method.
+  * occurred user for every method — in the same [[CounterMap]] as VOS.
   */
 trait UserCounters { self: SimilaritySketch =>
-  protected val nU = scala.collection.mutable.HashMap.empty[Long, Long]
+  protected val nU = new CounterMap
 
-  override def cardinality(user: Long): Long = nU.getOrElse(user, 0L)
+  override def cardinality(user: Long): Long = nU.get(user)
 
-  protected def bumpCounter(user: Long, insert: Boolean): Unit = {
-    val next = nU.getOrElse(user, 0L) + (if (insert) 1L else -1L)
-    if (next == 0L) nU.remove(user) else nU.update(user, next)
-  }
+  protected def bumpCounter(user: Long, insert: Boolean): Unit =
+    nU.add(user, if (insert) 1L else -1L)
 }

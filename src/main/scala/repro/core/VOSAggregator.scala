@@ -42,8 +42,34 @@ object VOSAggregator {
     new VOSAggregator(hashes).toColumn
 
   /** Build the sketch of `events` distributed across the cluster and
-    * return it to the driver.
+    * return it to the driver. Fails before the job starts if the buffer
+    * sketch cannot fit Kryo's buffer (see [[requireFitsKryoBuffer]]).
     */
-  def build(events: Dataset[EdgeEvent], hashes: VOSHashes): VOSSketch =
+  def build(events: Dataset[EdgeEvent], hashes: VOSHashes): VOSSketch = {
+    val conf = events.sparkSession.sparkContext.getConf
+    requireFitsKryoBuffer(hashes, conf.getSizeAsMb(KryoBufferMax, "64m") * 1024 * 1024)
     events.select(column(hashes)).head()
+  }
+
+  /** Spark setting that caps the bytes of one Kryo-serialized object. */
+  val KryoBufferMax = "spark.kryoserializer.buffer.max"
+
+  /** Lower bound on the Kryo-serialized bytes of a buffer sketch: its bit
+    * array (`m/8` bytes) plus an empty counter store.
+    */
+  def minSerializedBytes(hashes: VOSHashes): Long =
+    8L * ((hashes.m.toLong + 63) / 64) + new CounterMap().slotBytes
+
+  /** Throw if a buffer sketch for `hashes` cannot fit a Kryo buffer of at
+    * most `bufferMaxBytes`: the job would otherwise fail inside a task
+    * with `KRYO_BUFFER_OVERFLOW`.
+    */
+  def requireFitsKryoBuffer(hashes: VOSHashes, bufferMaxBytes: Long): Unit = {
+    val need = minSerializedBytes(hashes)
+    if (need > bufferMaxBytes)
+      throw new IllegalArgumentException(
+        s"a VOS sketch with m = ${hashes.m} bits serializes to at least $need bytes, more than " +
+          s"$KryoBufferMax = $bufferMaxBytes bytes; set $KryoBufferMax to at least " +
+          s"${(need + (1 << 20) - 1) >> 20}m")
+  }
 }

@@ -70,7 +70,13 @@ object VOSEstimator {
     (1 - math.pow(1 - 2 * beta, 2) * math.pow(1 - 2.0 / k, nDelta.toDouble)) / 2.0
   }
 
-  /** Paper's approximation E(ŝ) (§ IV). Exposed for the analysis tests. */
+  /** Paper's approximation E(ŝ) (§ IV). Exposed for the analysis tests.
+    *
+    * Checked only at β = 0. At β > 0 it disagrees with observed errors: at
+    * the end of the default youtube-lite stream (β ≈ 0.021, k = 6,400,
+    * pairs of the 150 largest users) the mean error of the raw ŝ is +2.6,
+    * while this formula predicts about −203.
+    */
   def expectedSHat(k: Int, nDelta: Long, beta: Double, s: Double): Double = {
     val c = 1 - 2 * beta
     s + 1.0 / 8 -
@@ -78,7 +84,12 @@ object VOSEstimator {
       math.exp(4.0 * nDelta / k) / (8 * math.pow(c, 4))
   }
 
-  /** Paper's approximation Var(ŝ) (§ IV). Exposed for the analysis tests. */
+  /** Paper's approximation Var(ŝ) (§ IV). Exposed for the analysis tests.
+    *
+    * Checked only at β = 0. At β > 0 it disagrees with observed errors: in
+    * the setting of [[expectedSHat]] the mean squared error of the raw ŝ is
+    * about 300, while this formula averages about 650,000.
+    */
   def varianceSHat(k: Int, nDelta: Long, beta: Double): Double = {
     val c = 1 - 2 * beta
     -k / 16.0 +

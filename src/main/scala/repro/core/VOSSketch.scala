@@ -1,6 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
 import repro.stream.EdgeEvent
 
 /** VOS — virtual odd sketch (the paper's contribution, § IV).
@@ -11,13 +10,16 @@ import repro.stream.EdgeEvent
   *     so users share (and contaminate) bits — that collision noise is the
   *     `β` term the estimator corrects for.
   *   - `nU`: exact per-user subscription counters `n_u` (the paper keeps a
-  *     counter per occurred user).
+  *     counter per occurred user) in a [[CounterMap]]: unboxed, a user
+  *     whose count returns to 0 is removed, and a partial sketch may hold
+  *     negative counts until it is merged.
   *   - the 1-bit count of `A`, from which `β` (fraction of 1-bits) is read
   *     in O(1). The paper maintains β with an incremental ±2/(2m) update;
   *     an integer ones-count is the same quantity without float drift.
   *
-  * Per-edge update (O(1)): `(u,i,a)` flips `A[f_{ψ(i)}(u)]` — XOR makes
-  * "+" and "−" on the same (u,i) self-cancel — and adjusts `n_u` by ±1.
+  * Per-edge update (O(1), no allocation): `(u,i,a)` flips `A[f_{ψ(i)}(u)]`
+  * — XOR makes "+" and "−" on the same (u,i) self-cancel — and adjusts
+  * `n_u` by ±1.
   *
   * The array state is XOR-mergeable and the counters sum-mergeable, so
   * sketches built independently over partitions of a stream [[merge]] into
@@ -33,16 +35,16 @@ final class VOSSketch(val hashes: VOSHashes) extends SimilaritySketch {
   val array = new BitArray(hashes.m)
 
   /** Exact per-user item counters n_u. */
-  val nU: mutable.HashMap[Long, Long] = mutable.HashMap.empty
+  val nU: CounterMap = new CounterMap
 
   /** Fraction of 1-bits in A (β in the paper). */
   def beta: Double = array.onesFraction
 
-  /** Number of distinct users seen (with possibly-zero current count). */
+  /** Number of users with a nonzero count. */
   def numUsers: Int = nU.size
 
   /** n_u for `user` (0 if never seen). */
-  override def cardinality(user: Long): Long = nU.getOrElse(user, 0L)
+  override def cardinality(user: Long): Long = nU.get(user)
 
   /** Process one stream element in O(1). */
   override def update(e: EdgeEvent): Unit = update(e.user, e.item, e.insert)
@@ -50,10 +52,7 @@ final class VOSSketch(val hashes: VOSHashes) extends SimilaritySketch {
   /** Process one stream element in O(1). */
   def update(user: Long, item: Long, insert: Boolean): Unit = {
     array.flip(hashes.position(user, item))
-    val delta = if (insert) 1L else -1L
-    val next  = nU.getOrElse(user, 0L) + delta
-    if (next == 0L) nU.remove(user) else nU.update(user, next)
-    ()
+    nU.add(user, if (insert) 1L else -1L)
   }
 
   /** Fold a whole stream prefix into this sketch. */
@@ -69,10 +68,7 @@ final class VOSSketch(val hashes: VOSHashes) extends SimilaritySketch {
     require(other.hashes == hashes,
       s"cannot merge sketches with different configs: $hashes vs ${other.hashes}")
     array.xorInPlace(other.array)
-    other.nU.foreach { case (u, n) =>
-      val next = nU.getOrElse(u, 0L) + n
-      if (next == 0L) nU.remove(u) else nU.update(u, next)
-    }
+    nU.addAll(other.nU)
     this
   }
 
@@ -115,7 +111,7 @@ final class VOSSketch(val hashes: VOSHashes) extends SimilaritySketch {
   def copyOf(): VOSSketch = {
     val s = new VOSSketch(hashes)
     s.array.xorInPlace(array)
-    nU.foreach { case (u, n) => s.nU.update(u, n) }
+    s.nU.addAll(nU)
     s
   }
 }

@@ -136,7 +136,7 @@ object VOSStreaming {
       .groupBy(_.user)
       .foreach { case (user, ups) =>
         val latest = ups.maxBy(_.version)
-        if (latest.n != 0L) sketch.nU.update(user, latest.n)
+        sketch.nU.add(user, latest.n)
       }
     sketch
   }

@@ -37,29 +37,89 @@ object DynamicStreamGen {
   ): IndexedSeq[EdgeEvent] = {
     require(d >= 0 && d <= 1, s"d out of [0,1]: $d")
     require(r >= 0 && r <= 1, s"r out of [0,1]: $r")
-    val rng = new java.util.SplittableRandom(seed)
+    require(edges.size < (1 << 30), s"too many edges: ${edges.size}")
+    val rng   = new java.util.SplittableRandom(seed)
+    val users = new Array[Long](edges.size)
+    val items = new Array[Long](edges.size)
 
-    // (virtual timestamp, user, item, insert?)
-    val actions = IndexedSeq.newBuilder[(Double, Long, Long, Boolean)]
+    // Per action, in generation order: its virtual timestamp's bits (a
+    // non-negative double's bits order like the double) and its edge index
+    // times 2, plus 1 for a deletion (actions alternate ins, del, ins).
+    var stamps  = new Array[Long](edges.size + edges.size / 2 + 3)
+    var actions = new Array[Int](stamps.length)
+    var n = 0
+    var e = 0
     edges.foreach { case (u, i) =>
+      users(e) = u
+      items(e) = i
       val nActs =
         if (rng.nextDouble() >= d) 1
         else if (rng.nextDouble() >= r) 2
         else 3
-      val ts = Array.fill(nActs)(rng.nextDouble())
-      java.util.Arrays.sort(ts)
-      var a = 0
-      while (a < nActs) {
-        actions += ((ts(a), u, i, a % 2 == 0)) // ins, del, ins, ...
-        a += 1
+      // Sort the 1–3 timestamps; an absent one reads 1.0 and stays last.
+      var t0 = rng.nextDouble()
+      var t1 = if (nActs > 1) rng.nextDouble() else 1.0
+      var t2 = if (nActs > 2) rng.nextDouble() else 1.0
+      if (t1 < t0) { val t = t0; t0 = t1; t1 = t }
+      if (t2 < t1) { val t = t1; t1 = t2; t2 = t }
+      if (t1 < t0) { val t = t0; t0 = t1; t1 = t }
+      if (n + 3 > stamps.length) {
+        stamps = java.util.Arrays.copyOf(stamps, 2 * stamps.length)
+        actions = java.util.Arrays.copyOf(actions, stamps.length)
       }
+      stamps(n) = java.lang.Double.doubleToRawLongBits(t0)
+      stamps(n + 1) = java.lang.Double.doubleToRawLongBits(t1)
+      stamps(n + 2) = java.lang.Double.doubleToRawLongBits(t2)
+      var a = 0
+      while (a < nActs) { actions(n + a) = 2 * e + (a & 1); a += 1 }
+      n += nActs
+      e += 1
     }
 
-    actions
-      .result()
-      .sortBy(_._1)
-      .zipWithIndex
-      .map { case ((_, u, i, ins), idx) => EdgeEvent(u, i, ins, idx + 1L) }
+    val order  = sortStable(stamps, actions, n)
+    val events = new Array[EdgeEvent](n)
+    var t = 0
+    while (t < n) {
+      val a = order(t)
+      events(t) = EdgeEvent(users(a >>> 1), items(a >>> 1), (a & 1) == 0, t + 1L)
+      t += 1
+    }
+    scala.collection.immutable.ArraySeq.unsafeWrapArray(events)
+  }
+
+  /** The first `n` values reordered by ascending key, equal keys keeping
+    * their order: an LSD radix sort over 16-bit digits of non-negative
+    * keys. Reuses `keys` and `values` as scratch.
+    */
+  private[stream] def sortStable(keys: Array[Long], values: Array[Int], n: Int): Array[Int] = {
+    var k     = keys
+    var v     = values
+    var k2    = new Array[Long](n)
+    var v2    = new Array[Int](n)
+    val start = new Array[Int](1 << 16)
+    var shift = 0
+    while (shift < 64 && n > 0) {
+      java.util.Arrays.fill(start, 0)
+      var j = 0
+      while (j < n) { start(((k(j) >>> shift) & 0xFFFF).toInt) += 1; j += 1 }
+      if (start(((k(0) >>> shift) & 0xFFFF).toInt) != n) { // else every key shares this digit
+        var sum = 0
+        var b   = 0
+        while (b < start.length) { val c = start(b); start(b) = sum; sum += c; b += 1 }
+        j = 0
+        while (j < n) {
+          val b = ((k(j) >>> shift) & 0xFFFF).toInt
+          k2(start(b)) = k(j)
+          v2(start(b)) = v(j)
+          start(b) += 1
+          j += 1
+        }
+        val tk = k; k = k2; k2 = tk
+        val tv = v; v = v2; v2 = tv
+      }
+      shift += 16
+    }
+    v
   }
 
   /** Check stream feasibility (insert only absent, delete only present).

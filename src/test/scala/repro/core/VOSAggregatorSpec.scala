@@ -64,4 +64,15 @@ class VOSAggregatorSpec extends SparkSpec {
     val dist   = VOSAggregator.build(ds(events, 8), hashes)
     assert(dist.array == seq.array && dist.nU == seq.nU)
   }
+
+  test("the Kryo buffer check accepts youtube-lite and rejects paper scale at 64m") {
+    val maxBytes = 64L << 20
+    VOSAggregator.requireFitsKryoBuffer(VOSSketch.paperConfig(100, 4000), maxBytes)
+    val paper = VOSSketch.paperConfig(100, 300000)
+    assert(VOSAggregator.minSerializedBytes(paper) >= paper.m / 8)
+    val e = intercept[IllegalArgumentException](VOSAggregator.requireFitsKryoBuffer(paper, maxBytes))
+    assert(e.getMessage.contains(VOSAggregator.KryoBufferMax))
+    assert(e.getMessage.contains("at least 115m"))
+    VOSAggregator.requireFitsKryoBuffer(paper, 115L << 20)
+  }
 }

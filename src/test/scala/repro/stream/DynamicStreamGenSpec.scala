@@ -100,4 +100,41 @@ class DynamicStreamGenSpec extends AnyFunSuite {
     val inserted = s.filter(_.insert).map(e => (e.user, e.item)).toSet
     assert(edges.toSet.subsetOf(inserted))
   }
+
+  /** The generator's first algorithm: a boxed tuple per action, a stable
+    * sort by timestamp, then an index. The array version must reproduce it.
+    */
+  private def generateByTuples(edges: IndexedSeq[(Long, Long)], d: Double, r: Double, seed: Long) = {
+    val rng     = new java.util.SplittableRandom(seed)
+    val actions = IndexedSeq.newBuilder[(Double, Long, Long, Boolean)]
+    edges.foreach { case (u, i) =>
+      val nActs =
+        if (rng.nextDouble() >= d) 1
+        else if (rng.nextDouble() >= r) 2
+        else 3
+      val ts = Array.fill(nActs)(rng.nextDouble())
+      java.util.Arrays.sort(ts)
+      (0 until nActs).foreach(a => actions += ((ts(a), u, i, a % 2 == 0)))
+    }
+    actions.result().sortBy(_._1).zipWithIndex
+      .map { case ((_, u, i, ins), idx) => EdgeEvent(u, i, ins, idx + 1L) }
+  }
+
+  test("same event sequence as the tuple-sorting algorithm on every seed") {
+    val big = GraphGen.baseEdges(DatasetSpec.scaled(DatasetSpec.youtube, 0.05))
+    for ((d, r) <- Seq((0.5, 0.5), (0.0, 0.5), (1.0, 1.0), (0.9, 0.2)); seed <- 1L to 4L) {
+      assert(DynamicStreamGen.generate(edges, d, r, seed) == generateByTuples(edges, d, r, seed), s"d=$d r=$r seed=$seed")
+    }
+    for (seed <- Seq(7L, 1234L))
+      assert(DynamicStreamGen.generate(big, seed = seed) == generateByTuples(big, 0.5, 0.5, seed), s"seed=$seed")
+    assert(DynamicStreamGen.generate(IndexedSeq.empty, seed = 1).isEmpty)
+  }
+
+  test("the timestamp sort keeps generation order among equal timestamps") {
+    val rng   = new java.util.Random(9)
+    val times = Array.fill(5000)(rng.nextInt(40).toDouble / 40 + (if (rng.nextInt(9) == 0) 1e-300 else 0.0))
+    val keys  = times.map(java.lang.Double.doubleToRawLongBits)
+    val order = DynamicStreamGen.sortStable(keys, times.indices.toArray, times.length)
+    assert(order.toSeq == times.indices.sortBy(times(_)))
+  }
 }
