@@ -16,7 +16,7 @@ import repro.stream.{DatasetSpec, DynamicStreamGen, GraphGen}
 object StreamingDemoJob {
   def main(args: Array[String]): Unit = {
     val batches = args.headOption.map(_.toInt).getOrElse(8)
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("vos-streaming-demo")
       .getOrCreate()

@@ -1,17 +1,25 @@
 package repro.core
 
+import java.util.function.IntSupplier
+
 /** Compact mutable bit array backed by `Long` words.
   *
   * This is the storage substrate for VOS: the shared array `A` (m bits) and
   * each rebuilt per-user odd sketch are instances of this class. It supports
-  * the three operations VOS needs in O(1) or O(words):
+  * the operations VOS needs, each O(1) or linear in its size:
   *
   *   - `flip(pos)` — XOR a single bit, returning the new bit value (VOS's
   *     per-edge update; the ones-count is maintained incrementally so the
   *     1-bit fraction β is O(1) to read);
   *   - `xorInPlace(other)` — bitwise XOR merge (partial sketches built on
   *     different partitions combine associatively/commutatively);
-  *   - `onesCount` — popcount, maintained incrementally.
+  *   - `onesCount` — popcount, maintained incrementally;
+  *   - `gather(positions, n)` — read n scattered bits into a new n-bit
+  *     array (rebuilding one user's odd sketch from `A`).
+  *
+  * Every change to the bits goes through `flip` or `xorInPlace`, which
+  * bump [[mutationCount]]; a reader that caches something derived from the
+  * bits (`VOSSketch`'s rebuilt odd sketches) keys it on that count.
   *
   * Not thread-safe; each Spark partition owns its private instance.
   *
@@ -23,8 +31,21 @@ final class BitArray(val numBits: Int) extends Serializable {
   private val words = new Array[Long]((numBits + 63) >>> 6)
   private var ones: Long = 0L
 
+  /** Changes made to this instance so far; not serialized, so a
+    * deserialized copy starts again at 0.
+    */
+  @transient private var mutations: Long = 0L
+
   /** Number of 1-bits currently set. */
   def onesCount: Long = ones
+
+  /** Number of `flip` and `xorInPlace` calls on this instance so far: equal
+    * counts mean unchanged bits.
+    */
+  def mutationCount: Long = mutations
+
+  /** Bytes of the word array (its heap footprint without headers). */
+  def wordBytes: Long = 8L * words.length
 
   /** Fraction of 1-bits (β in the paper when this is the shared array A). */
   def onesFraction: Double = ones.toDouble / numBits
@@ -40,6 +61,7 @@ final class BitArray(val numBits: Int) extends Serializable {
     require(pos >= 0 && pos < numBits, s"bit position $pos out of [0,$numBits)")
     val w    = pos >>> 6
     val mask = 1L << (pos & 63)
+    mutations += 1
     words(w) ^= mask
     val nowSet = (words(w) & mask) != 0L
     if (nowSet) { ones += 1; 1 } else { ones -= 1; 0 }
@@ -55,6 +77,7 @@ final class BitArray(val numBits: Int) extends Serializable {
   def xorInPlace(other: BitArray): Unit = {
     require(other.numBits == numBits,
       s"length mismatch: $numBits vs ${other.numBits}")
+    mutations += 1
     var i = 0
     var count = 0L
     while (i < words.length) {
@@ -64,6 +87,36 @@ final class BitArray(val numBits: Int) extends Serializable {
     }
     ones = count
   }
+
+  /** The bits at the next `n` positions of `positions`, packed into a new
+    * `n`-bit array: its bit j is this array's bit at the j-th position.
+    * Throws if one of them lies outside `[0, numBits)`.
+    */
+  def gather(positions: IntSupplier, n: Int): BitArray = {
+    val out = new BitArray(n)
+    var c   = 0L
+    var j   = 0
+    while (j < n) {
+      // One output word at a time, built in a register.
+      val end = math.min(n, j + 64)
+      var w   = 0L
+      var b   = 0
+      while (j < end) {
+        val p = positions.getAsInt
+        if ((p | (numBits - 1 - p)) < 0) outOfRange(p)
+        w |= ((words(p >>> 6) >>> (p & 63)) & 1L) << b
+        b += 1
+        j += 1
+      }
+      out.words((j - 1) >>> 6) = w
+      c += java.lang.Long.bitCount(w)
+    }
+    out.ones = c
+    out
+  }
+
+  private def outOfRange(pos: Int): Nothing =
+    throw new IllegalArgumentException(s"bit position $pos out of [0,$numBits)")
 
   /** Number of positions where this and `other` differ (Hamming distance). */
   def hammingDistance(other: BitArray): Long = {

@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.function.IntSupplier
+
 /** Deterministic seeded hash family used by every sketch in this repo.
   *
   * The paper assumes ideal random hash functions: ψ maps items to
@@ -24,22 +26,28 @@ object Hashing {
     x
   }
 
+  /** Input of [[mix64]] in `hash64(key, seed)`. It is linear in `seed`
+    * (mod 2⁶⁴), so stepping the seed by a constant steps the input by a
+    * constant too.
+    */
+  def hashInput(key: Long, seed: Long): Long = key + 0x9e3779b97f4a7c15L * (seed + 1)
+
   /** Seeded 64-bit hash of `key`. Distinct seeds give (effectively)
     * independent functions.
     */
-  def hash64(key: Long, seed: Long): Long =
-    mix64(key + 0x9e3779b97f4a7c15L * (seed + 1))
+  def hash64(key: Long, seed: Long): Long = mix64(hashInput(key, seed))
 
   /** Seeded hash reduced to `[0, n)` without modulo bias (multiply-shift
     * on the high bits).
     */
   def bounded(key: Long, seed: Long, n: Int): Int = {
     require(n > 0, s"range must be positive, got $n")
-    // Math.multiplyHigh on the unsigned value: (h * n) >> 64.
-    val h = hash64(key, seed)
-    val hi = Math.multiplyHigh(h, n.toLong) + (if (h < 0) n.toLong else 0L)
-    hi.toInt
+    reduce(hash64(key, seed), n)
   }
+
+  /** `h` read as unsigned, scaled to `[0, n)`: `(h · n) >> 64`. `n > 0`. */
+  def reduce(h: Long, n: Int): Int =
+    (Math.multiplyHigh(h, n.toLong) + (if (h < 0) n.toLong else 0L)).toInt
 }
 
 /** Hash-function bundle for one VOS sketch configuration.
@@ -64,9 +72,37 @@ final case class VOSHashes(k: Int, m: Int, seed: Long) extends Serializable {
     */
   def f(j: Int, user: Long): Int = {
     require(j >= 0 && j < k, s"register index $j out of [0,$k)")
-    Hashing.bounded(user, fSeed + 0x100000001L * j, m)
+    Hashing.bounded(user, fSeed + VOSHashes.FStride * j, m)
+  }
+
+  /** Cursor over user `u`'s odd-sketch positions in the shared array: the
+    * j-th `getAsInt` (from 0) returns `f(j, u)`; the first k calls give the
+    * whole odd sketch. The seed of `f_j` grows by `FStride` per j, so the
+    * hash input grows by a constant and a step costs one mix and one
+    * multiply-high, with no per-j checks.
+    */
+  def fWalk(user: Long): IntSupplier = {
+    val start = Hashing.hashInput(user, fSeed)
+    new VOSHashes.FWalk(start, Hashing.hashInput(user, fSeed + VOSHashes.FStride) - start, m)
   }
 
   /** Shared-array position touched by edge (user, item): `f_{ψ(i)}(u)`. */
   def position(user: Long, item: Long): Int = f(psi(item), user)
+}
+
+object VOSHashes {
+
+  /** Seed distance between `f_j` and `f_{j+1}`. */
+  private final val FStride = 0x100000001L
+
+  /** Positions `reduce(mix64(x), m)` for `x = start, start + step, …`. */
+  private final class FWalk(start: Long, step: Long, m: Int) extends IntSupplier {
+    private var x = start
+
+    def getAsInt: Int = {
+      val p = Hashing.reduce(Hashing.mix64(x), m)
+      x += step
+      p
+    }
+  }
 }

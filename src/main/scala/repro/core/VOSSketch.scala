@@ -1,5 +1,7 @@
 package repro.core
 
+import java.lang.ref.WeakReference
+
 import repro.stream.EdgeEvent
 
 /** VOS — virtual odd sketch (the paper's contribution, § IV).
@@ -24,6 +26,12 @@ import repro.stream.EdgeEvent
   * The array state is XOR-mergeable and the counters sum-mergeable, so
   * sketches built independently over partitions of a stream [[merge]] into
   * exactly the sketch of the whole stream (order-independence of XOR).
+  *
+  * Pair queries ([[alpha]], [[estimate]], [[estimatePair]]) rebuild each
+  * queried user's odd sketch once per snapshot of `A` and keep it in a
+  * weakly held memo, which any change to `A` invalidates. Queries
+  * therefore write to the sketch: like updates, they are not safe from
+  * several threads at once.
   *
   * @param hashes hash bundle fixing (k, m, seed)
   */
@@ -72,32 +80,65 @@ final class VOSSketch(val hashes: VOSHashes) extends SimilaritySketch {
     this
   }
 
-  /** Rebuild user `u`'s (noisy) odd sketch `Ô_u[j] = A[f_j(u)]`. O(k). */
-  def rebuildOddSketch(user: Long): BitArray = {
-    val o = new BitArray(hashes.k)
-    var j = 0
-    while (j < hashes.k) {
-      if (array.get(hashes.f(j, user)) == 1) o.flip(j)
-      j += 1
+  /** Rebuild user `u`'s (noisy) odd sketch `Ô_u[j] = A[f_j(u)]` from the
+    * array as it is now. O(k). Never served from the query memo.
+    */
+  def rebuildOddSketch(user: Long): BitArray = array.gather(hashes.fWalk(user), hashes.k)
+
+  /** Odd sketches rebuilt since the array last changed, by user. Held
+    * weakly: it is a cache that any GC may drop, so the retained footprint
+    * stays the paper's m bits plus counters. Not serialized.
+    */
+  @transient private var memoRef: WeakReference[VOSSketch.OddSketchMemo] = _
+
+  /** The memo for the array as it is now, or null if the array has changed
+    * since it was made or a GC has dropped it.
+    */
+  private def currentMemo: VOSSketch.OddSketchMemo = {
+    val cur = if (memoRef == null) null else memoRef.get
+    if (cur != null && cur.mutations == array.mutationCount) cur else null
+  }
+
+  /** The current memo, started afresh if there is none. */
+  private def memo: VOSSketch.OddSketchMemo = {
+    val cur = currentMemo
+    if (cur != null) cur
+    else {
+      val fresh = new VOSSketch.OddSketchMemo(array.mutationCount)
+      memoRef = new WeakReference(fresh)
+      fresh
+    }
+  }
+
+  private def oddSketch(memo: VOSSketch.OddSketchMemo, user: Long): BitArray = {
+    var o = memo.byUser.get(user)
+    if (o == null) {
+      o = rebuildOddSketch(user)
+      memo.byUser.put(user, o)
     }
     o
   }
 
   /** Fraction α of 1-bits in `Ô_u ⊕ Ô_v` — the only sketch-derived input
-    * the estimator needs for a pair. O(k).
+    * the estimator needs for a pair. Each user's odd sketch is rebuilt once
+    * per snapshot of the array (O(k)) and memoized; α is then the Hamming
+    * distance of the two, O(k/64).
     */
   def alpha(u: Long, v: Long): Double = {
-    var diff = 0
-    var j    = 0
-    while (j < hashes.k) {
-      if (array.get(hashes.f(j, u)) != array.get(hashes.f(j, v))) diff += 1
-      j += 1
-    }
-    diff.toDouble / hashes.k
+    val m = memo
+    oddSketch(m, u).hammingDistance(oddSketch(m, v)).toDouble / hashes.k
+  }
+
+  /** The sketch's own health: β, users, bytes, and how many users have an
+    * odd sketch memoized for the array as it is now.
+    */
+  def health: VOSHealth = {
+    val cur = currentMemo
+    VOSHealth(beta, numUsers, array.wordBytes, nU.slotBytes, if (cur == null) 0 else cur.byUser.size)
   }
 
   /** Estimate the pair similarity (ŝ, Ĵ and intermediates) at the current
-    * time. O(k).
+    * time: O(k/64) once both users' odd sketches are memoized.
     */
   def estimate(u: Long, v: Long): VOSEstimate =
     VOSEstimator.estimate(hashes.k, alpha(u, v), beta, cardinality(u), cardinality(v))
@@ -118,6 +159,11 @@ final class VOSSketch(val hashes: VOSHashes) extends SimilaritySketch {
 
 object VOSSketch {
 
+  /** Odd sketches rebuilt while `A` had seen `mutations` changes, by user. */
+  private final class OddSketchMemo(val mutations: Long) {
+    val byUser = new java.util.HashMap[Long, BitArray]
+  }
+
   /** Build a sketch over a full stream sequentially (reference path). */
   def build(hashes: VOSHashes, events: IterableOnce[EdgeEvent]): VOSSketch =
     new VOSSketch(hashes).updateAll(events)
@@ -134,3 +180,13 @@ object VOSSketch {
     VOSHashes(k = lambda * 32 * kBaseline, m = m.toInt, seed = seed)
   }
 }
+
+/** A snapshot of a sketch's health.
+  *
+  * @param beta          fraction of 1-bits in `A`
+  * @param users         users with a nonzero counter
+  * @param arrayBytes    bytes of `A`'s words
+  * @param counterBytes  bytes of the counter table's slots
+  * @param memoizedUsers users whose odd sketch is memoized for `A` as it is now
+  */
+final case class VOSHealth(beta: Double, users: Int, arrayBytes: Long, counterBytes: Long, memoizedUsers: Int)

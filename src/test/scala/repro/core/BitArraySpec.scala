@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.function.IntSupplier
+
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -100,6 +102,47 @@ class BitArraySpec extends AnyFunSuite {
 
   test("hammingDistance rejects length mismatch") {
     intercept[IllegalArgumentException](new BitArray(5).hammingDistance(new BitArray(6)))
+  }
+
+  private def supply(positions: Array[Int]): IntSupplier = {
+    val it = positions.iterator
+    () => it.next()
+  }
+
+  test("property: gather reads the bit at each position") {
+    val gen = for {
+      n  <- Gen.choose(1, 300)
+      ps <- Gen.listOf(Gen.choose(0, n - 1))
+      at <- Gen.nonEmptyListOf(Gen.choose(0, n - 1))
+    } yield (n, ps, at.toArray)
+    check(Prop.forAll(gen) { case (n, ps, at) =>
+      val b = new BitArray(n); ps.foreach(b.flip)
+      val g = b.gather(supply(at), at.length)
+      g.numBits == at.length && at.indices.forall(j => g.get(j) == b.get(at(j))) &&
+        g.onesCount == at.count(b.get(_) == 1)
+    })
+  }
+
+  test("gather rejects positions outside the array") {
+    val b = new BitArray(100)
+    intercept[IllegalArgumentException](b.gather(supply(Array(3, 100)), 2))
+    intercept[IllegalArgumentException](b.gather(supply(Array(-1, 3)), 2))
+    assert(b.gather(supply(Array(3, 100)), 1).numBits == 1)
+  }
+
+  test("mutationCount counts flips, sets that change a bit and xors") {
+    val a = new BitArray(70)
+    assert(a.mutationCount == 0)
+    a.flip(3); a.set(4, 1); a.set(4, 1); a.get(5)
+    assert(a.mutationCount == 2)
+    a.xorInPlace(new BitArray(70))
+    assert(a.mutationCount == 3)
+    a.hammingDistance(a.copy()); a.gather(supply(Array(1, 2)), 2)
+    assert(a.mutationCount == 3)
+  }
+
+  test("wordBytes is 8 bytes per 64 bits") {
+    assert(new BitArray(64).wordBytes == 8 && new BitArray(65).wordBytes == 16)
   }
 
   test("copy is independent") {

@@ -95,6 +95,30 @@ class HashingSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](h.f(-1, 1L))
   }
 
+  test("property: the fWalk cursor equals f(j, u) for every j") {
+    // Negative users, k not a multiple of 64, and m up to Int.MaxValue,
+    // where reduce's unsigned branch (h < 0) is taken about half the time.
+    val gen = for {
+      k    <- Gen.oneOf(Gen.choose(1, 200), Gen.const(64), Gen.const(6400))
+      m    <- Gen.oneOf(Gen.choose(1, 1 << 16), Gen.choose(Int.MaxValue - 1000, Int.MaxValue))
+      seed <- Gen.long
+      user <- Gen.oneOf(Gen.long, Gen.choose(-1000L, 1000L))
+    } yield (VOSHashes(k, m, seed), user)
+    check(Prop.forAll(gen) { case (h, u) =>
+      val walk = h.fWalk(u)
+      (0 until h.k).forall(j => walk.getAsInt == h.f(j, u))
+    }, min = 200)
+  }
+
+  test("reduce equals bounded at the top of the Int range") {
+    val n = Int.MaxValue
+    Seq(Long.MinValue, -1L, 0L, 1L, Long.MaxValue).foreach { key =>
+      val v = Hashing.reduce(Hashing.hash64(key, 3L), n)
+      assert(v == Hashing.bounded(key, 3L, n) && v >= 0 && v < n)
+    }
+    assert(Hashing.reduce(-1L, n) == n - 1 && Hashing.reduce(0L, n) == 0)
+  }
+
   test("VOSHashes.position = f(psi(i), u)") {
     val h = VOSHashes(k = 16, m = 501, seed = 4)
     for (u <- 0L until 50L; i <- 0L until 50L)

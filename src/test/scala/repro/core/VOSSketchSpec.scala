@@ -1,5 +1,10 @@
 package repro.core
 
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
+import java.nio.ByteBuffer
+
+import org.apache.spark.SparkConf
+import org.apache.spark.serializer.KryoSerializer
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestStreams
@@ -227,5 +232,132 @@ class VOSSketchSpec extends AnyFunSuite {
       val ba = mk(e2).merge(mk(e1))
       ab.array == ba.array && ab.nU == ba.nU
     }, min = 30)
+  }
+
+  /** α the per-pair way: compare `A[f_j(u)]` with `A[f_j(v)]` for every j. */
+  private def oracleAlpha(s: VOSSketch, u: Long, v: Long): Double = {
+    val h = s.hashes
+    (0 until h.k).count(j => s.array.get(h.f(j, u)) != s.array.get(h.f(j, v))).toDouble / h.k
+  }
+
+  /** Memo-test config: k not a multiple of 64, so the last word is partial. */
+  private val Q = VOSHashes(k = 100, m = 2048, seed = 8)
+
+  private sealed trait Op
+  private final case class Update(u: Long, i: Long, insert: Boolean) extends Op
+  private final case class Merge(events: List[(Long, Long, Boolean)]) extends Op
+  private case object CopyOf extends Op
+  private final case class Flip(pos: Int) extends Op
+  private final case class SetBit(pos: Int, bit: Int) extends Op
+  private final case class Xor(positions: List[Int]) extends Op
+  private final case class Query(u: Long, v: Long) extends Op
+
+  test("property: alpha matches the per-pair oracle under interleaved changes to A") {
+    val user  = Gen.choose(-3L, 6L)
+    val event = for { u <- user; i <- Gen.choose(0L, 40L); a <- Gen.oneOf(true, false) } yield (u, i, a)
+    val pos   = Gen.choose(0, Q.m - 1)
+    val op: Gen[Op] = Gen.frequency(
+      4 -> event.map { case (u, i, a) => Update(u, i, a) },
+      1 -> Gen.listOf(event).map(Merge(_)),
+      1 -> Gen.const(CopyOf),
+      1 -> pos.map(Flip(_)),
+      1 -> (for { p <- pos; b <- Gen.oneOf(0, 1) } yield SetBit(p, b)),
+      1 -> Gen.listOf(pos).map(Xor(_)),
+      6 -> (for { u <- user; v <- user } yield Query(u, v)),
+    )
+    check(Prop.forAll(Gen.listOf(op)) { ops =>
+      var s  = new VOSSketch(Q)
+      var ok = true
+      ops.foreach {
+        case Update(u, i, a) => s.update(u, i, a)
+        case Merge(es) =>
+          val o = new VOSSketch(Q); es.foreach { case (u, i, a) => o.update(u, i, a) }; s.merge(o)
+        case CopyOf          => s = s.copyOf()
+        case Flip(p)         => s.array.flip(p)
+        case SetBit(p, b)    => s.array.set(p, b)
+        case Xor(ps) =>
+          val o = new BitArray(Q.m); ps.foreach(o.flip); s.array.xorInPlace(o)
+        case Query(u, v) =>
+          // Unmatched deletes leave negative counters, which estimate rejects.
+          val counted = s.cardinality(u) >= 0 && s.cardinality(v) >= 0
+          ok &&= s.alpha(u, v) == oracleAlpha(s, u, v) && s.alpha(u, u) == 0.0 &&
+            (!counted || s.estimate(u, v).alpha == oracleAlpha(s, u, v))
+      }
+      ok && (-3L to 6L).forall(u => s.alpha(u, 0L) == oracleAlpha(s, u, 0L))
+    }, min = 200)
+  }
+
+  test("alpha is unchanged once a GC has dropped the memo") {
+    val s = new VOSSketch(Q)
+    TestStreams.random(6, 40, 300, seed = 14).foreach(s.update)
+    val pairs  = for (u <- 0L until 6L; v <- 0L until 6L) yield (u, v)
+    val before = pairs.map { case (u, v) => s.alpha(u, v) }
+    assert(s.health.memoizedUsers == 6)
+    var gcs = 0
+    while (s.health.memoizedUsers > 0 && gcs < 50) { System.gc(); Thread.sleep(10); gcs += 1 }
+    assert(s.health.memoizedUsers == 0, s"memo still held after $gcs GCs")
+    assert(pairs.map { case (u, v) => s.alpha(u, v) } == before)
+    assert(before == pairs.map { case (u, v) => oracleAlpha(s, u, v) })
+  }
+
+  test("rebuildOddSketch reads the array afresh, not the memo") {
+    val s = new VOSSketch(Q)
+    TestStreams.random(4, 40, 200, seed = 15).foreach(s.update)
+    val a = s.alpha(0L, 1L)
+    val o = s.rebuildOddSketch(0L)
+    assert(s.alpha(0L, 1L) == a)
+    o.flip(0) // the caller's copy: changing it leaves the sketch's answers alone
+    assert(s.alpha(0L, 1L) == a && s.rebuildOddSketch(0L) != o)
+  }
+
+  test("health reports beta, users, bytes and memoized users") {
+    val s = new VOSSketch(Q)
+    Seq(1L, 2L, 3L).foreach(u => s.update(u, 7L, insert = true))
+    assert(s.health == VOSHealth(s.beta, 3, 8L * ((Q.m + 63) / 64), s.nU.slotBytes, 0))
+    s.alpha(1L, 2L)
+    assert(s.health.memoizedUsers == 2)
+    s.estimate(2L, 3L)
+    assert(s.health.memoizedUsers == 3)
+    s.update(4L, 7L, insert = true)
+    assert(s.health == VOSHealth(s.beta, 4, 8L * ((Q.m + 63) / 64), s.nU.slotBytes, 0))
+  }
+
+  private def kryoBytes(ser: org.apache.spark.serializer.SerializerInstance, s: VOSSketch): Array[Byte] = {
+    val buf = ser.serialize(s)
+    val out = new Array[Byte](buf.remaining)
+    buf.get(out)
+    out
+  }
+
+  private def javaBytes(s: VOSSketch): Array[Byte] = {
+    val bytes = new ByteArrayOutputStream
+    val out   = new ObjectOutputStream(bytes)
+    out.writeObject(s)
+    out.close()
+    bytes.toByteArray
+  }
+
+  /** The round trip keeps the sketch and its answers and drops the memo. */
+  private def sameSketch(back: VOSSketch, s: VOSSketch, pairs: Seq[(Long, Long)]): Unit = {
+    assert(back.array == s.array && back.nU == s.nU && back.hashes == s.hashes)
+    assert(back.health.memoizedUsers == 0)
+    assert(pairs.forall { case (u, v) => back.estimate(u, v) == s.estimate(u, v) })
+  }
+
+  test("a queried sketch round-trips through Kryo and Java serialization without its memo") {
+    val s = new VOSSketch(Q)
+    TestStreams.random(6, 40, 300, seed = 16).foreach(s.update)
+    val pairs = for (u <- 0L until 6L; v <- u + 1 until 6L) yield (u, v)
+    val kryo  = new KryoSerializer(new SparkConf(false)).newInstance()
+    val (kryoBefore, javaBefore) = (kryoBytes(kryo, s), javaBytes(s))
+    pairs.foreach { case (u, v) => s.estimate(u, v) }
+    assert(s.health.memoizedUsers == 6)
+    // Querying adds nothing to the serialized form (the aggregator buffer).
+    assert(kryoBytes(kryo, s).sameElements(kryoBefore))
+    assert(javaBytes(s).sameElements(javaBefore))
+
+    sameSketch(kryo.deserialize[VOSSketch](ByteBuffer.wrap(kryoBefore)), s, pairs)
+    val in = new ObjectInputStream(new ByteArrayInputStream(javaBefore))
+    sameSketch(in.readObject().asInstanceOf[VOSSketch], s, pairs)
   }
 }
