@@ -2,7 +2,6 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 import repro.core.{VOSSketch, VOSStreaming}
-import repro.eval.EvalConfig
 import repro.stream.{DatasetSpec, DynamicStreamGen, GraphGen}
 
 /** spark-submit entrypoint demonstrating the Structured Streaming build of
@@ -20,36 +19,11 @@ object StreamingDemoJob {
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("vos-streaming-demo")
       .getOrCreate()
-    import spark.implicits._
-    import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
-
     val spec   = DatasetSpec.scaled(DatasetSpec.youtube, 0.1)
     val stream = DynamicStreamGen.generate(GraphGen.baseEdges(spec))
     val numUsers = stream.iterator.map(_.user).distinct.size
     val hashes = VOSSketch.paperConfig(100, numUsers)
-    val parts  = 64
-
-    implicit val sqlCtx = spark.sqlContext
-    val arraySource   = MemoryStream[repro.stream.EdgeEvent]
-    val counterSource = MemoryStream[repro.stream.EdgeEvent]
-
-    val arrayQ = VOSStreaming.arrayUpdates(arraySource.toDS(), hashes, parts)
-      .writeStream.outputMode("update").format("memory").queryName("vos_array").start()
-    val counterQ = VOSStreaming.counterUpdates(counterSource.toDS())
-      .writeStream.outputMode("update").format("memory").queryName("vos_counts").start()
-
-    val chunk = math.max(1, stream.length / batches)
-    stream.grouped(chunk).foreach { g =>
-      arraySource.addData(g); counterSource.addData(g)
-      arrayQ.processAllAvailable(); counterQ.processAllAvailable()
-    }
-
-    val sketch = VOSStreaming.assemble(
-      hashes, parts,
-      spark.table("vos_array").as[VOSStreaming.PartUpdate].collect().toSeq,
-      spark.table("vos_counts").as[VOSStreaming.UserUpdate].collect().toSeq,
-    )
-    arrayQ.stop(); counterQ.stop()
+    val sketch = VOSStreaming.run(spark, hashes, numPartitions = 64, stream, batches)
 
     val exact = new repro.baselines.ExactSim
     stream.foreach(exact.update)

@@ -44,10 +44,7 @@ final class OPHDyn(val k: Int, val seed: Long = 11L)
   /** Bin of item i — the high bits of h(i), so bin and rank come from the
     * same permutation as in the original OPH.
     */
-  def bin(item: Long): Int = {
-    val hv = h(item)
-    (Math.multiplyHigh(hv, k.toLong) + (if (hv < 0) k.toLong else 0L)).toInt
-  }
+  def bin(item: Long): Int = Hashing.reduce(h(item), k)
 
   override def update(e: EdgeEvent): Unit = {
     val r = regs.getOrElseUpdate(e.user, mutable.HashMap.empty)

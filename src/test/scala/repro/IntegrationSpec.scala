@@ -1,10 +1,9 @@
 package repro
 
-import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import repro.baselines.ExactSim
 import repro.core.{VOSAggregator, VOSSketch, VOSStreaming}
 import repro.eval.{BenchTables, EvalConfig, Harness}
-import repro.stream.{DatasetSpec, DynamicStreamGen, EdgeEvent, GraphGen}
+import repro.stream.{DatasetSpec, DynamicStreamGen, GraphGen}
 
 /** End-to-end checks tying every layer together: generated dynamic stream →
   * sequential / batch-aggregated / structured-streaming VOS builds →
@@ -24,25 +23,8 @@ class IntegrationSpec extends SparkSpec {
     val dist = VOSAggregator.build(spark.createDataset(stream).repartition(8), hashes)
     assert(dist.array == seq.array && dist.nU == seq.nU)
 
-    implicit val sqlCtx: org.apache.spark.sql.SQLContext = spark.sqlContext
-    val src = MemoryStream[EdgeEvent]
-    val parts = 16
-    val qa = VOSStreaming.arrayUpdates(src.toDS(), hashes, parts)
-      .writeStream.outputMode("update").format("memory").queryName("it_arr").start()
-    val src2 = MemoryStream[EdgeEvent]
-    val qc = VOSStreaming.counterUpdates(src2.toDS())
-      .writeStream.outputMode("update").format("memory").queryName("it_cnt").start()
-    try {
-      stream.grouped(math.max(1, stream.length / 5)).foreach { g =>
-        src.addData(g); src2.addData(g)
-        qa.processAllAvailable(); qc.processAllAvailable()
-      }
-      val str = VOSStreaming.assemble(
-        hashes, parts,
-        spark.table("it_arr").as[VOSStreaming.PartUpdate].collect().toSeq,
-        spark.table("it_cnt").as[VOSStreaming.UserUpdate].collect().toSeq)
-      assert(str.array == seq.array && str.nU == seq.nU)
-    } finally { qa.stop(); qc.stop() }
+    val str = VOSStreaming.run(spark, hashes, numPartitions = 16, stream, nBatches = 5)
+    assert(str.array == seq.array && str.nU == seq.nU)
   }
 
   test("VOS estimates track exact similarities on top pairs") {

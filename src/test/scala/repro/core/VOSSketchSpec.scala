@@ -11,6 +11,7 @@ import repro.TestStreams
 import repro.stream.EdgeEvent
 
 class VOSSketchSpec extends AnyFunSuite {
+  import VOSSketchSpec._
 
   private val H = VOSHashes(k = 64, m = 4096, seed = 5)
 
@@ -243,15 +244,6 @@ class VOSSketchSpec extends AnyFunSuite {
   /** Memo-test config: k not a multiple of 64, so the last word is partial. */
   private val Q = VOSHashes(k = 100, m = 2048, seed = 8)
 
-  private sealed trait Op
-  private final case class Update(u: Long, i: Long, insert: Boolean) extends Op
-  private final case class Merge(events: List[(Long, Long, Boolean)]) extends Op
-  private case object CopyOf extends Op
-  private final case class Flip(pos: Int) extends Op
-  private final case class SetBit(pos: Int, bit: Int) extends Op
-  private final case class Xor(positions: List[Int]) extends Op
-  private final case class Query(u: Long, v: Long) extends Op
-
   test("property: alpha matches the per-pair oracle under interleaved changes to A") {
     val user  = Gen.choose(-3L, 6L)
     val event = for { u <- user; i <- Gen.choose(0L, 40L); a <- Gen.oneOf(true, false) } yield (u, i, a)
@@ -360,4 +352,15 @@ class VOSSketchSpec extends AnyFunSuite {
     val in = new ObjectInputStream(new ByteArrayInputStream(javaBefore))
     sameSketch(in.readObject().asInstanceOf[VOSSketch], s, pairs)
   }
+}
+
+object VOSSketchSpec {
+  private sealed trait Op
+  private final case class Update(u: Long, i: Long, insert: Boolean) extends Op
+  private final case class Merge(events: List[(Long, Long, Boolean)]) extends Op
+  private case object CopyOf extends Op
+  private final case class Flip(pos: Int) extends Op
+  private final case class SetBit(pos: Int, bit: Int) extends Op
+  private final case class Xor(positions: List[Int]) extends Op
+  private final case class Query(u: Long, v: Long) extends Op
 }
