@@ -57,9 +57,8 @@ final class RandomPairing(val k: Int, val seed: Long = 13L)
           if (rng.nextInt(d) < st.c1(j)) { st.phi(j) = e.item; st.c1(j) -= 1 }
           else st.c2(j) -= 1
         } else {
-          // Plain reservoir of size 1 over n+1 items. (max guards against
-          // infeasible replays used by the runtime bench for timing only.)
-          if (st.phi(j) == Empty || rng.nextLong(math.max(1L, n + 1)) == 0L) st.phi(j) = e.item
+          // Plain reservoir of size 1 over n+1 items.
+          if (st.phi(j) == Empty || rng.nextLong(n + 1) == 0L) st.phi(j) = e.item
         }
         j += 1
       }

@@ -31,7 +31,7 @@ import repro.stream.EdgeEvent
 object VOSStreaming {
 
   /** Edge routed to the bit-range partition owning its array position. */
-  final case class RoutedEdge(part: Int, pos: Int, user: Long, insert: Boolean)
+  final case class RoutedEdge(part: Int, pos: Int)
 
   /** State and output of one bit-range group: the range's bits
     * (little-endian words) and a monotone version.
@@ -65,7 +65,7 @@ object VOSStreaming {
     val bpp = bitsPerPart(hashes.m, numPartitions)
     events.map { e =>
       val pos = hashes.position(e.user, e.item)
-      RoutedEdge(pos / bpp, pos, e.user, e.insert)
+      RoutedEdge(pos / bpp, pos)
     }
   }
 

@@ -21,14 +21,12 @@ object BenchTables {
     */
   private val RuntimeM = 1 << 26
 
-  private def freshMethod(method: String, k: Int, seed: Long): (SimilaritySketch, Long) =
+  private def freshMethod(method: String, k: Int, seed: Long): () => SimilaritySketch =
     method match {
-      // (sketch, register visits per edge) — the latter only budgets the
-      // timed prefix length in RuntimeMeasure.
-      case "VOS"     => (new VOSSketch(VOSHashes(64 * k, RuntimeM, seed)), 1L)
-      case "OPH"     => (new OPHDyn(k, seed), 1L)
-      case "MinHash" => (new MinHashDyn(k, seed), k.toLong)
-      case "RP"      => (new RandomPairing(k, seed), k.toLong)
+      case "VOS"     => () => new VOSSketch(VOSHashes(64 * k, RuntimeM, seed))
+      case "OPH"     => () => new OPHDyn(k, seed)
+      case "MinHash" => () => new MinHashDyn(k, seed)
+      case "RP"      => () => new RandomPairing(k, seed)
       case other     => throw new IllegalArgumentException(s"unknown method $other")
     }
 
@@ -42,10 +40,7 @@ object BenchTables {
     for {
       k      <- ks
       method <- MethodNames
-    } yield {
-      val (sketch, ops) = freshMethod(method, k, seed)
-      RuntimeMeasure.measure(sketch, stream, k, ops)
-    }
+    } yield RuntimeMeasure.measure(k, freshMethod(method, k, seed), stream)
   }
 
   /** T2 (Fig 2b): ns/edge at one k for every dataset, all methods. */
@@ -56,10 +51,7 @@ object BenchTables {
       spec   <- specs
       stream  = DynamicStreamGen.generate(GraphGen.baseEdges(spec), seed = seed)
       method <- MethodNames
-    } yield {
-      val (sketch, ops) = freshMethod(method, k, seed)
-      (spec.name, RuntimeMeasure.measure(sketch, stream, k, ops))
-    }
+    } yield (spec.name, RuntimeMeasure.measure(k, freshMethod(method, k, seed), stream))
 
   /** T3+T4 (Fig 3a/3c): accuracy over time on one dataset. */
   def accuracyOverTime(spec: DatasetSpec = DatasetSpec.youtube,
@@ -77,56 +69,41 @@ object BenchTables {
 
   // ---- rendering ----
 
-  def renderRuntimeVsK(rows: Seq[RuntimeRow], title: String): String = {
-    val byK = rows.groupBy(_.k).toSeq.sortBy(_._1)
+  /** One table line per `(key cells, rows)` of `lines`, with a column per
+    * method: the value of that method's first row, or NaN if it has none.
+    */
+  private def pivot[R](title: String, keyHeader: Seq[String], methods: Seq[String], unit: String,
+                       lines: Seq[(Seq[String], Seq[R])])(method: R => String, value: R => Double): String =
     TableFmt.render(
       title,
-      "k" +: MethodNames.map(m => s"$m ns/edge"),
-      byK.map { case (k, rs) =>
-        k.toString +: MethodNames.map(m =>
-          TableFmt.fmt(rs.find(_.method == m).map(_.nsPerEdge).getOrElse(Double.NaN)))
+      keyHeader ++ methods.map(m => s"$m $unit"),
+      lines.map { case (key, rs) =>
+        key ++ methods.map(m => TableFmt.fmt(rs.find(method(_) == m).map(value).getOrElse(Double.NaN)))
       },
     )
-  }
 
-  def renderRuntimeAllDatasets(rows: Seq[(String, RuntimeRow)], title: String): String = {
-    val byDs = rows.groupBy(_._1)
-    val order = rows.map(_._1).distinct
-    TableFmt.render(
-      title,
-      "dataset" +: MethodNames.map(m => s"$m ns/edge"),
-      order.map { ds =>
-        ds +: MethodNames.map(m =>
-          TableFmt.fmt(byDs(ds).map(_._2).find(_.method == m).map(_.nsPerEdge).getOrElse(Double.NaN)))
-      },
-    )
-  }
+  private def accuracy(metric: String)(r: AccuracyRow): Double =
+    if (metric == "AAPE") r.aape else r.armse
 
-  def renderAccuracyOverTime(rows: Seq[AccuracyRow], metric: String, title: String): String = {
-    val methods = rows.map(_.method).distinct
-    val byCp    = rows.groupBy(_.checkpoint).toSeq.sortBy(_._1)
-    def value(r: AccuracyRow): Double = if (metric == "AAPE") r.aape else r.armse
-    TableFmt.render(
-      title,
-      Seq("checkpoint", "t") ++ methods.map(m => s"$m $metric"),
-      byCp.map { case (cp, rs) =>
-        Seq(cp.toString, rs.head.time.toString) ++
-          methods.map(m => TableFmt.fmt(rs.find(_.method == m).map(value).getOrElse(Double.NaN)))
-      },
-    )
-  }
+  def renderRuntimeVsK(rows: Seq[RuntimeRow], title: String): String =
+    pivot(title, Seq("k"), MethodNames, "ns/edge",
+      rows.groupBy(_.k).toSeq.sortBy(_._1).map { case (k, rs) => (Seq(k.toString), rs) },
+    )(_.method, _.nsPerEdge)
 
-  def renderAccuracyAllDatasets(rows: Seq[AccuracyRow], metric: String, title: String): String = {
-    val methods = rows.map(_.method).distinct
-    val order   = rows.map(_.dataset).distinct
-    def value(r: AccuracyRow): Double = if (metric == "AAPE") r.aape else r.armse
-    TableFmt.render(
-      title,
-      "dataset" +: methods.map(m => s"$m $metric"),
-      order.map { ds =>
-        ds +: methods.map(m =>
-          TableFmt.fmt(rows.find(r => r.dataset == ds && r.method == m).map(value).getOrElse(Double.NaN)))
+  def renderRuntimeAllDatasets(rows: Seq[(String, RuntimeRow)], title: String): String =
+    pivot(title, Seq("dataset"), MethodNames, "ns/edge",
+      rows.map(_._1).distinct.map(ds => (Seq(ds), rows.collect { case (`ds`, r) => r })),
+    )(_.method, _.nsPerEdge)
+
+  def renderAccuracyOverTime(rows: Seq[AccuracyRow], metric: String, title: String): String =
+    pivot(title, Seq("checkpoint", "t"), rows.map(_.method).distinct, metric,
+      rows.groupBy(_.checkpoint).toSeq.sortBy(_._1).map { case (cp, rs) =>
+        (Seq(cp.toString, rs.head.time.toString), rs)
       },
-    )
-  }
+    )(_.method, accuracy(metric))
+
+  def renderAccuracyAllDatasets(rows: Seq[AccuracyRow], metric: String, title: String): String =
+    pivot(title, Seq("dataset"), rows.map(_.method).distinct, metric,
+      rows.map(_.dataset).distinct.map(ds => (Seq(ds), rows.filter(_.dataset == ds))),
+    )(_.method, accuracy(metric))
 }

@@ -1,5 +1,7 @@
 package repro.stream
 
+import repro.baselines.ExactSim
+
 /** Fully dynamic graph stream generator.
   *
   * Converts a static base edge set into a feasible stream of subscriptions
@@ -122,20 +124,14 @@ object DynamicStreamGen {
     v
   }
 
-  /** Check stream feasibility (insert only absent, delete only present).
-    * Returns the number of events checked; throws on the first violation.
+  /** Check stream feasibility (insert only absent, delete only present)
+    * by replaying it through [[ExactSim]]. Returns the number of events
+    * checked; throws on the first violation.
     */
   def assertFeasible(stream: IterableOnce[EdgeEvent]): Long = {
-    val present = scala.collection.mutable.HashSet.empty[(Long, Long)]
+    val exact = new ExactSim
     var n = 0L
-    stream.iterator.foreach { e =>
-      val key = (e.user, e.item)
-      if (e.insert)
-        require(present.add(key), s"duplicate insert $key at t=${e.time}")
-      else
-        require(present.remove(key), s"delete of absent $key at t=${e.time}")
-      n += 1
-    }
+    stream.iterator.foreach { e => exact.update(e); n += 1 }
     n
   }
 }
