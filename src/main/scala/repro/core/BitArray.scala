@@ -11,15 +11,18 @@ import java.util.function.IntSupplier
   *   - `flip(pos)` — XOR a single bit, returning the new bit value (VOS's
   *     per-edge update; the ones-count is maintained incrementally so the
   *     1-bit fraction β is O(1) to read);
+  *   - `flipAll(positions, n)` — a block of such flips in one tight loop
+  *     (VOS applies its queued edges this way);
   *   - `xorInPlace(other)` — bitwise XOR merge (partial sketches built on
   *     different partitions combine associatively/commutatively);
   *   - `onesCount` — popcount, maintained incrementally;
   *   - `gather(positions, n)` — read n scattered bits into a new n-bit
   *     array (rebuilding one user's odd sketch from `A`).
   *
-  * Every change to the bits goes through `flip` or `xorInPlace`, which
-  * bump [[mutationCount]]; a reader that caches something derived from the
-  * bits (`VOSSketch`'s rebuilt odd sketches) keys it on that count.
+  * Every change to the bits goes through `flip`, `flipAll` or
+  * `xorInPlace`, which bump [[mutationCount]]; a reader that caches
+  * something derived from the bits (`VOSSketch`'s rebuilt odd sketches)
+  * keys it on that count.
   *
   * Not thread-safe; each Spark partition owns its private instance.
   *
@@ -39,8 +42,8 @@ final class BitArray(val numBits: Int) extends Serializable {
   /** Number of 1-bits currently set. */
   def onesCount: Long = ones
 
-  /** Number of `flip` and `xorInPlace` calls on this instance so far: equal
-    * counts mean unchanged bits.
+  /** Number of bit flips and `xorInPlace` calls on this instance so far:
+    * equal counts mean unchanged bits.
     */
   def mutationCount: Long = mutations
 
@@ -59,12 +62,35 @@ final class BitArray(val numBits: Int) extends Serializable {
   /** XOR bit at `pos` with 1; returns the new bit value. O(1). */
   def flip(pos: Int): Int = {
     require(pos >= 0 && pos < numBits, s"bit position $pos out of [0,$numBits)")
-    val w    = pos >>> 6
-    val mask = 1L << (pos & 63)
     mutations += 1
-    words(w) ^= mask
-    val nowSet = (words(w) & mask) != 0L
-    if (nowSet) { ones += 1; 1 } else { ones -= 1; 0 }
+    flipBit(pos)
+  }
+
+  /** Flip the bits at `positions(0 until n)` in turn, as `n` calls of
+    * [[flip]] would. Throws at the first position outside `[0, numBits)`,
+    * with the positions before it flipped.
+    */
+  def flipAll(positions: Array[Int], n: Int): Unit = {
+    mutations += n
+    var i = 0
+    while (i < n) {
+      val p = positions(i)
+      if ((p | (numBits - 1 - p)) < 0) outOfRange(p)
+      flipBit(p)
+      i += 1
+    }
+  }
+
+  /** Flip the bit at `pos` (in range) and return its new value. The
+    * ones-count moves by +1 or −1 without a branch on the loaded word.
+    */
+  private def flipBit(pos: Int): Int = {
+    val w   = pos >>> 6
+    val now = words(w) ^ (1L << (pos & 63))
+    words(w) = now
+    val bit = ((now >>> (pos & 63)) & 1L).toInt
+    ones += 2 * bit - 1
+    bit
   }
 
   /** Set bit at `pos` to `bit` (0 or 1). */

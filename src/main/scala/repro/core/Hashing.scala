@@ -86,8 +86,14 @@ final case class VOSHashes(k: Int, m: Int, seed: Long) extends Serializable {
     new VOSHashes.FWalk(start, Hashing.hashInput(user, fSeed + VOSHashes.FStride) - start, m)
   }
 
-  /** Shared-array position touched by edge (user, item): `f_{ψ(i)}(u)`. */
-  def position(user: Long, item: Long): Int = f(psi(item), user)
+  /** Shared-array position touched by edge (user, item): `f_{ψ(i)}(u)`,
+    * computed directly: ψ's range is `[0, k)` by construction, so the
+    * index check of [[f]] is not needed.
+    */
+  def position(user: Long, item: Long): Int = {
+    val j = Hashing.reduce(Hashing.hash64(item, psiSeed), k)
+    Hashing.reduce(Hashing.hash64(user, fSeed + VOSHashes.FStride * j), m)
+  }
 }
 
 object VOSHashes {

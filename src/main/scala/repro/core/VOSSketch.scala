@@ -19,9 +19,18 @@ import repro.stream.EdgeEvent
   *     in O(1). The paper maintains β with an incremental ±2/(2m) update;
   *     an integer ones-count is the same quantity without float drift.
   *
-  * Per-edge update (O(1), no allocation): `(u,i,a)` flips `A[f_{ψ(i)}(u)]`
-  * — XOR makes "+" and "−" on the same (u,i) self-cancel — and adjusts
-  * `n_u` by ±1.
+  * Per-edge update (O(1) amortized, no allocation): `(u,i,a)` flips
+  * `A[f_{ψ(i)}(u)]` — XOR makes "+" and "−" on the same (u,i) self-cancel
+  * — and adjusts `n_u` by ±1. `update` computes the position at once and
+  * queues (position, user, ±1) in a pending block of 64 edges. A full
+  * block is applied in two tight loops, all flips and then all counter
+  * adds, so the cache misses of many edges are in flight at once. Every
+  * reader ([[array]], [[nU]] and all that reads them) applies the pending
+  * edges first, so it sees exactly the state of a sequential
+  * edge-at-a-time pass. A `BitArray` reference taken from [[array]] does
+  * not see edges queued after it was taken: read `array` again. Pending
+  * edges are ordinary fields, so a serialized sketch keeps them and
+  * applies them on its next read.
   *
   * The array state is XOR-mergeable and the counters sum-mergeable, so
   * sketches built independently over partitions of a stream [[merge]] into
@@ -39,11 +48,29 @@ final class VOSSketch(val hashes: VOSHashes) extends SimilaritySketch {
 
   override def name: String = "VOS"
 
-  /** Shared bit array A (visible for tests and the streaming operator). */
-  val array = new BitArray(hashes.m)
+  private val bits     = new BitArray(hashes.m)
+  private val counters = new CounterMap
 
-  /** Exact per-user item counters n_u. */
-  val nU: CounterMap = new CounterMap
+  // The pending block: edges whose position is known but whose flip and
+  // counter add are not yet applied.
+  private val pendingPos    = new Array[Int](VOSSketch.Block)
+  private val pendingUser   = new Array[Long](VOSSketch.Block)
+  private val pendingInsert = new Array[Boolean](VOSSketch.Block)
+  private var pending       = 0
+
+  /** Shared bit array A, with every queued edge applied (visible for tests
+    * and the streaming operator).
+    */
+  def array: BitArray = {
+    if (pending != 0) flush()
+    bits
+  }
+
+  /** Exact per-user item counters n_u, with every queued edge applied. */
+  def nU: CounterMap = {
+    if (pending != 0) flush()
+    counters
+  }
 
   /** Fraction of 1-bits in A (β in the paper). */
   def beta: Double = array.onesFraction
@@ -57,10 +84,26 @@ final class VOSSketch(val hashes: VOSHashes) extends SimilaritySketch {
   /** Process one stream element in O(1). */
   override def update(e: EdgeEvent): Unit = update(e.user, e.item, e.insert)
 
-  /** Process one stream element in O(1). */
+  /** Process one stream element in O(1), amortized over a block. */
   def update(user: Long, item: Long, insert: Boolean): Unit = {
-    array.flip(hashes.position(user, item))
-    nU.add(user, if (insert) 1L else -1L)
+    val p = pending
+    pendingPos(p) = hashes.position(user, item)
+    pendingUser(p) = user
+    pendingInsert(p) = insert
+    pending = p + 1
+    if (p + 1 == VOSSketch.Block) flush()
+  }
+
+  /** Apply the pending block: all its flips, then all its counter adds. */
+  private def flush(): Unit = {
+    val n = pending
+    pending = 0
+    bits.flipAll(pendingPos, n)
+    var i = 0
+    while (i < n) {
+      counters.add(pendingUser(i), if (pendingInsert(i)) 1L else -1L)
+      i += 1
+    }
   }
 
   /** Fold a whole stream prefix into this sketch. */
@@ -158,6 +201,9 @@ final class VOSSketch(val hashes: VOSHashes) extends SimilaritySketch {
 }
 
 object VOSSketch {
+
+  /** Edges queued by `update` before they are applied together. */
+  private final val Block = 64
 
   /** Odd sketches rebuilt while `A` had seen `mutations` changes, by user. */
   private final class OddSketchMemo(val mutations: Long) {

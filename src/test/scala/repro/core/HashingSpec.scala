@@ -125,6 +125,22 @@ class HashingSpec extends AnyFunSuite {
       assert(h.position(u, i) == h.f(h.psi(i), u))
   }
 
+  test("property: position(u, i) == f(psi(i), u)") {
+    // Negative user and item ids, k not a power of two, and m up to
+    // Int.MaxValue.
+    val gen = for {
+      k    <- Gen.oneOf(Gen.choose(1, 10000), Gen.const(100), Gen.const(6400), Gen.const(Int.MaxValue))
+      m    <- Gen.oneOf(Gen.choose(1, 1 << 16), Gen.choose(Int.MaxValue - 1000, Int.MaxValue))
+      seed <- Gen.long
+      user <- Gen.oneOf(Gen.long, Gen.choose(-1000L, 1000L))
+      item <- Gen.oneOf(Gen.long, Gen.choose(-1000L, 1000L))
+    } yield (VOSHashes(k, m, seed), user, item)
+    check(Prop.forAll(gen) { case (h, u, i) =>
+      val p = h.position(u, i)
+      p == h.f(h.psi(i), u) && p >= 0 && p < h.m
+    }, min = 500)
+  }
+
   test("VOSHashes: different users mostly land on different positions") {
     val h = VOSHashes(k = 64, m = 1 << 20, seed = 6)
     val ps = (0L until 2000L).map(u => h.position(u, 7L))

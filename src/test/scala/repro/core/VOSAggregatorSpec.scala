@@ -38,6 +38,17 @@ class VOSAggregatorSpec extends SparkSpec {
     }
   }
 
+  test("partitions of fewer than 64 edges ship their queued edges and still build bit-identically") {
+    // Every partial is serialized with edges still queued in its block.
+    Seq((40, 8), (100, 1), (130, 3)).foreach { case (n, parts) =>
+      val events = TestStreams.random(10, 30, n, seed = 24L + n)
+      val seq    = VOSSketch.build(H, events)
+      val dist   = VOSAggregator.build(ds(events, parts), H)
+      assert(dist.array == seq.array && dist.nU == seq.nU, s"$n edges in $parts partitions")
+      assert(dist.array.onesCount == seq.array.onesCount)
+    }
+  }
+
   test("empty input yields an empty sketch") {
     val s = spark
     import s.implicits._

@@ -274,6 +274,7 @@ class VOSSketchSpec extends AnyFunSuite {
           val counted = s.cardinality(u) >= 0 && s.cardinality(v) >= 0
           ok &&= s.alpha(u, v) == oracleAlpha(s, u, v) && s.alpha(u, u) == 0.0 &&
             (!counted || s.estimate(u, v).alpha == oracleAlpha(s, u, v))
+        case op => throw new IllegalStateException(s"not generated here: $op")
       }
       ok && (-3L to 6L).forall(u => s.alpha(u, 0L) == oracleAlpha(s, u, 0L))
     }, min = 200)
@@ -341,6 +342,7 @@ class VOSSketchSpec extends AnyFunSuite {
     TestStreams.random(6, 40, 300, seed = 16).foreach(s.update)
     val pairs = for (u <- 0L until 6L; v <- u + 1 until 6L) yield (u, v)
     val kryo  = new KryoSerializer(new SparkConf(false)).newInstance()
+    s.array // applies the queued edges, as any query would, before "before"
     val (kryoBefore, javaBefore) = (kryoBytes(kryo, s), javaBytes(s))
     pairs.foreach { case (u, v) => s.estimate(u, v) }
     assert(s.health.memoizedUsers == 6)
@@ -351,6 +353,129 @@ class VOSSketchSpec extends AnyFunSuite {
     sameSketch(kryo.deserialize[VOSSketch](ByteBuffer.wrap(kryoBefore)), s, pairs)
     val in = new ObjectInputStream(new ByteArrayInputStream(javaBefore))
     sameSketch(in.readObject().asInstanceOf[VOSSketch], s, pairs)
+  }
+
+  /** The sequential oracle: a plain bit set and count map, updated one edge
+    * at a time through the public `f` and `psi`.
+    */
+  private final class Oracle(h: VOSHashes) {
+    val bits   = scala.collection.mutable.BitSet.empty
+    val counts = scala.collection.mutable.Map.empty[Long, Long].withDefaultValue(0L)
+    def flip(p: Int): Unit = if (!bits.add(p)) bits.remove(p)
+    def update(u: Long, i: Long, insert: Boolean): Unit = {
+      flip(h.f(h.psi(i), u))
+      counts(u) += (if (insert) 1L else -1L)
+      if (counts(u) == 0L) counts.remove(u)
+    }
+    def beta: Double = bits.size.toDouble / h.m
+    def odd(u: Long): Seq[Boolean] = (0 until h.k).map(j => bits(h.f(j, u)))
+    def alpha(u: Long, v: Long): Double = odd(u).zip(odd(v)).count { case (a, b) => a != b }.toDouble / h.k
+    def array: BitArray = { val a = new BitArray(h.m); bits.foreach(a.flip); a }
+    def agrees(s: VOSSketch): Boolean =
+      s.array == array && s.array.onesCount == bits.size && s.nU.toMap == counts.toMap
+  }
+
+  /** Stream lengths around the pending block of 64 edges. */
+  private val BlockLengths = Seq(0, 1, 63, 64, 65, 130)
+
+  test("property: updates queued in a block are seen by every reader as applied one by one") {
+    val user  = Gen.choose(-3L, 6L)
+    val event = for { u <- user; i <- Gen.choose(-20L, 40L); a <- Gen.oneOf(true, false) } yield (u, i, a)
+    val pos   = Gen.choose(0, Q.m - 1)
+    val read: Gen[Op] = Gen.oneOf(
+      Gen.const(Beta), user.map(Card(_)), Gen.const(Users),
+      for { u <- user; v <- user } yield Query(u, v),
+      user.map(Rebuild(_)), Gen.listOf(event).map(Merge(_)), Gen.listOf(event).map(MergeInto(_)),
+      Gen.const(CopyOf), Gen.const(Health), Gen.const(Assemble), Gen.const(Checks),
+      pos.map(Flip(_)), for { p <- pos; b <- Gen.oneOf(0, 1) } yield SetBit(p, b),
+      Gen.listOf(pos).map(Xor(_)),
+    )
+    val gen = for {
+      n      <- Gen.oneOf(BlockLengths)
+      events <- Gen.listOfN(n, event)
+      reads  <- Gen.listOf(Gen.zip(Gen.choose(0, n), read))
+    } yield (events, reads)
+    check(Prop.forAll(gen) { case (events, reads) =>
+      var s  = new VOSSketch(Q)
+      val o  = new Oracle(Q)
+      var ok = true
+      // A second sketch fed the same edges and writes: the benchmark's
+      // checks compare two sketches, each with its own pending block.
+      val twin = new VOSSketch(Q)
+      def updateBoth(u: Long, i: Long, a: Boolean): Unit = { o.update(u, i, a); twin.update(u, i, a) }
+      def flipBoth(p: Int): Unit = { o.flip(p); twin.array.flip(p) }
+      def readAt(t: Int): Unit = reads.filter(_._1 == t).map(_._2).foreach {
+        case Beta      => ok &&= s.beta == o.beta
+        case Card(u)   => ok &&= s.cardinality(u) == o.counts(u)
+        case Users     => ok &&= s.numUsers == o.counts.size
+        case Query(u, v) =>
+          ok &&= s.alpha(u, v) == o.alpha(u, v)
+          if (o.counts(u) >= 0 && o.counts(v) >= 0)
+            ok &&= s.estimate(u, v) == VOSEstimator.estimate(Q.k, o.alpha(u, v), o.beta, o.counts(u), o.counts(v))
+        case Rebuild(u) =>
+          val r = s.rebuildOddSketch(u)
+          ok &&= (0 until Q.k).map(j => r.get(j) == 1) == o.odd(u)
+        case Merge(es) =>
+          val other = new VOSSketch(Q)
+          es.foreach { case (u, i, a) => other.update(u, i, a); updateBoth(u, i, a) }
+          s.merge(other)
+        case MergeInto(es) =>
+          val other = new VOSSketch(Q)
+          es.foreach { case (u, i, a) => other.update(u, i, a); updateBoth(u, i, a) }
+          s = other.merge(s)
+        case CopyOf => s = s.copyOf()
+        case Health =>
+          val hs = s.health
+          ok &&= hs.beta == o.beta && hs.users == o.counts.size && hs.counterBytes == s.nU.slotBytes
+        case Assemble =>
+          val users = s.nU.toMap.toSeq.map { case (u, c) => VOSStreaming.UserUpdate(u, c, 1L) }
+          s = VOSStreaming.assemble(Q, 1, Seq(VOSStreaming.PartUpdate(0, s.array.toBytes, 1L)), users)
+        case Checks =>
+          ok &&= s.array == twin.array && s.array.hammingDistance(twin.array) == 0 &&
+            o.counts.keys.forall(u => s.cardinality(u) == twin.cardinality(u))
+        case Flip(p)      => s.array.flip(p); flipBoth(p)
+        case SetBit(p, b) => s.array.set(p, b); if (o.bits(p) != (b == 1)) flipBoth(p)
+        case Xor(ps) =>
+          val x = new BitArray(Q.m); ps.foreach(x.flip); s.array.xorInPlace(x)
+          (0 until Q.m).filter(x.get(_) == 1).foreach(flipBoth)
+        case op => throw new IllegalStateException(s"not a read: $op")
+      }
+      events.zipWithIndex.foreach { case ((u, i, a), t) =>
+        readAt(t)
+        s.update(u, i, a)
+        updateBoth(u, i, a)
+      }
+      readAt(events.length)
+      ok && o.agrees(s) && o.agrees(twin)
+    }, min = 300)
+  }
+
+  /** `n` random feasible edges over 6 users. */
+  private def blockStream(n: Int, seed: Long) = TestStreams.random(6, 40, n, seed = seed)
+
+  test("a sketch with queued edges round-trips through Kryo and Java serialization") {
+    val kryo = new KryoSerializer(new SparkConf(false)).newInstance()
+    BlockLengths.foreach { n =>
+      val events = blockStream(n, seed = 40L + n)
+      val s      = VOSSketch.build(Q, events) // up to 63 edges still queued
+      val (kb, jb) = (kryoBytes(kryo, s), javaBytes(s))
+      val fromKryo = kryo.deserialize[VOSSketch](ByteBuffer.wrap(kb))
+      val fromJava = new ObjectInputStream(new ByteArrayInputStream(jb)).readObject().asInstanceOf[VOSSketch]
+      Seq(fromKryo, fromJava).foreach { back =>
+        val want = VOSSketch.build(Q, events)
+        want.array // the flushed sequential build
+        assert(back.array == want.array && back.nU == want.nU, s"$n edges")
+        // The block goes on filling where it left off.
+        val more = blockStream(70, seed = 90L + n)
+        more.foreach(back.update)
+        more.foreach(want.update)
+        assert(back.array == want.array && back.nU == want.nU, s"$n + 70 edges")
+      }
+      // Edges were still queued when it was serialized: applying them
+      // changes the serialized form.
+      s.array
+      assert(kryoBytes(kryo, s).sameElements(kb) == (n % 64 == 0), s"$n edges")
+    }
   }
 }
 
@@ -363,4 +488,12 @@ object VOSSketchSpec {
   private final case class SetBit(pos: Int, bit: Int) extends Op
   private final case class Xor(positions: List[Int]) extends Op
   private final case class Query(u: Long, v: Long) extends Op
+  private case object Beta extends Op
+  private final case class Card(u: Long) extends Op
+  private case object Users extends Op
+  private final case class Rebuild(u: Long) extends Op
+  private final case class MergeInto(events: List[(Long, Long, Boolean)]) extends Op
+  private case object Health extends Op
+  private case object Assemble extends Op
+  private case object Checks extends Op
 }
