@@ -14,9 +14,7 @@ import repro.stream.DatasetSpec
   */
 class AccuracyBenchSuite extends AnyFunSuite {
 
-  // topUsers = 150 mirrors the paper's selection of large-cardinality
-  // users: at our graph scale the top 150 all hold hundreds+ of items.
-  private val cfg = EvalConfig(kBaseline = 100, topUsers = 150)
+  private val cfg = EvalConfig(kBaseline = 100)
   private lazy val rows = BenchTables.accuracyOverTime(DatasetSpec.youtube, cfg)
 
   private def at(method: String, cp: Int) =

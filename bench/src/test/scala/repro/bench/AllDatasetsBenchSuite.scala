@@ -13,7 +13,7 @@ import repro.stream.DatasetSpec
   */
 class AllDatasetsBenchSuite extends AnyFunSuite {
 
-  private val cfg = EvalConfig(kBaseline = 100, topUsers = 150)
+  private val cfg = EvalConfig(kBaseline = 100)
   private lazy val rows = BenchTables.accuracyAllDatasets(cfg = cfg)
 
   test("T5 (Fig 3b): end-of-stream AAPE on all datasets, k=100") {

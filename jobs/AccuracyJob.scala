@@ -11,7 +11,7 @@ import repro.stream.DatasetSpec
 object AccuracyJob {
   def main(args: Array[String]): Unit = {
     val k    = args.headOption.map(_.toInt).getOrElse(100)
-    val rows = BenchTables.accuracyOverTime(DatasetSpec.youtube, EvalConfig(kBaseline = k, topUsers = 150))
+    val rows = BenchTables.accuracyOverTime(DatasetSpec.youtube, EvalConfig(kBaseline = k))
     println(BenchTables.renderAccuracyOverTime(
       rows, "AAPE", s"T3 (Fig 3a): AAPE of s-hat over time, ${DatasetSpec.youtube.name}, k=$k"))
     println(BenchTables.renderAccuracyOverTime(

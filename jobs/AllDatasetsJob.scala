@@ -10,7 +10,7 @@ import repro.eval.{BenchTables, EvalConfig}
 object AllDatasetsJob {
   def main(args: Array[String]): Unit = {
     val k    = args.headOption.map(_.toInt).getOrElse(100)
-    val rows = BenchTables.accuracyAllDatasets(cfg = EvalConfig(kBaseline = k, topUsers = 150))
+    val rows = BenchTables.accuracyAllDatasets(cfg = EvalConfig(kBaseline = k))
     println(BenchTables.renderAccuracyAllDatasets(
       rows, "AAPE", s"T5 (Fig 3b): end-of-stream AAPE, k=$k"))
     println(BenchTables.renderAccuracyAllDatasets(

@@ -28,9 +28,6 @@ final class MinHashDyn(val k: Int, val seed: Long = 7L)
     extends SimilaritySketch with UserCounters {
   require(k > 0, s"k must be positive, got $k")
 
-  /** ∅ register sentinel (item ids are nonnegative). */
-  val Empty: Long = -1L
-
   private val regs = mutable.HashMap.empty[Long, Array[Long]]
 
   override def name: String = "MinHash"
@@ -41,7 +38,7 @@ final class MinHashDyn(val k: Int, val seed: Long = 7L)
   def h(j: Int, item: Long): Long = Hashing.hash64(item, seed + j)
 
   private def registersOf(user: Long): Array[Long] =
-    regs.getOrElseUpdate(user, Array.fill(k)(Empty))
+    regs.getOrElseUpdate(user, Array.fill(k)(Registers.Empty))
 
   override def update(e: EdgeEvent): Unit = {
     val r = registersOf(e.user)
@@ -49,14 +46,14 @@ final class MinHashDyn(val k: Int, val seed: Long = 7L)
     if (e.insert) {
       while (j < k) {
         val cur = r(j)
-        if (cur == Empty ||
+        if (cur == Registers.Empty ||
             java.lang.Long.compareUnsigned(h(j, e.item), h(j, cur)) < 0)
           r(j) = e.item
         j += 1
       }
     } else {
       while (j < k) {
-        if (r(j) == e.item) r(j) = Empty
+        if (r(j) == e.item) r(j) = Registers.Empty
         j += 1
       }
     }
@@ -65,19 +62,10 @@ final class MinHashDyn(val k: Int, val seed: Long = 7L)
 
   /** Register vector for a user (all-∅ if never seen); exposed for tests. */
   def registers(user: Long): Array[Long] =
-    regs.getOrElse(user, Array.fill(k)(Empty))
+    regs.getOrElse(user, Array.fill(k)(Registers.Empty))
 
   override def estimatePair(u: Long, v: Long): (Double, Double) = {
-    val ru = registers(u)
-    val rv = registers(v)
-    var matches = 0
-    var j = 0
-    while (j < k) {
-      if (ru(j) != Empty && ru(j) == rv(j)) matches += 1
-      j += 1
-    }
-    val jac = matches.toDouble / k
-    val s   = jac * (cardinality(u) + cardinality(v)) / (jac + 1.0)
-    (s, jac)
+    val jac = Registers.matches(registers(u), registers(v)).toDouble / k
+    (SimilaritySketch.commonOf(jac, cardinality(u), cardinality(v)), jac)
   }
 }

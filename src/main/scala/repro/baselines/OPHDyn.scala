@@ -1,7 +1,6 @@
 package repro.baselines
 
-import scala.collection.mutable
-import repro.core.{Hashing, SimilaritySketch, UserCounters}
+import repro.core.{CounterMap, Hashing, SimilaritySketch, UserCounters}
 import repro.stream.EdgeEvent
 
 /** One Permutation Hashing (OPH, Li et al. 2012) extended to fully dynamic
@@ -26,15 +25,10 @@ final class OPHDyn(val k: Int, val seed: Long = 11L)
     extends SimilaritySketch with UserCounters {
   require(k > 0, s"k must be positive, got $k")
 
-  /** ∅ register sentinel (item ids are nonnegative). */
-  val Empty: Long = -1L
-
-  // Bins are stored sparsely (bin → item): an update touches one bin, so
-  // the per-edge cost stays O(1) even at k = 10⁵ where a dense per-user
-  // Array(k) would make *allocation* on first occurrence dominate the
-  // runtime measurement. An absent key and an emptied bin are both ∅,
-  // exactly as in the dense formulation.
-  private val regs = mutable.HashMap.empty[Long, mutable.HashMap[Int, Long]]
+  /** Bin j of user u at key `u·k + j`, holding its item + 1; an absent key
+    * (count 0) is ∅.
+    */
+  private val bins = new CounterMap
 
   override def name: String = "OPH"
 
@@ -46,39 +40,35 @@ final class OPHDyn(val k: Int, val seed: Long = 11L)
     */
   def bin(item: Long): Int = Hashing.reduce(h(item), k)
 
+  /** Key of `user`'s bin j; throws rather than wrap onto another user's. */
+  private def key(user: Long, j: Int): Long = Math.addExact(Math.multiplyExact(user, k.toLong), j.toLong)
+
   override def update(e: EdgeEvent): Unit = {
-    val r = regs.getOrElseUpdate(e.user, mutable.HashMap.empty)
-    val j = bin(e.item)
+    val b   = key(e.user, bin(e.item))
+    val cur = bins.get(b)
     if (e.insert) {
-      r.get(j) match {
-        case Some(cur)
-            if java.lang.Long.compareUnsigned(h(e.item), h(cur)) >= 0 => ()
-        case _ => r.update(j, e.item)
-      }
-    } else {
-      if (r.get(j).contains(e.item)) r.remove(j)
-    }
+      if (cur == 0L || java.lang.Long.compareUnsigned(h(e.item), h(cur - 1)) < 0)
+        bins.add(b, e.item + 1 - cur)
+    } else if (cur == e.item + 1) bins.add(b, -cur)
     bumpCounter(e.user, e.insert)
   }
 
   /** Dense register vector for a user (∅-filled); exposed for tests. */
-  def registers(user: Long): Array[Long] = {
-    val r = regs.getOrElse(user, mutable.HashMap.empty[Int, Long])
-    Array.tabulate(k)(j => r.getOrElse(j, Empty))
-  }
+  def registers(user: Long): Array[Long] =
+    Array.tabulate(k)(j => bins.get(key(user, j)) - 1) // ∅ (0) becomes Registers.Empty
 
   override def estimatePair(u: Long, v: Long): (Double, Double) = {
-    val ru = regs.getOrElse(u, mutable.HashMap.empty[Int, Long])
-    val rv = regs.getOrElse(v, mutable.HashMap.empty[Int, Long])
     var num = 0
     var den = 0
-    ru.foreach { case (j, a) =>
-      den += 1
-      if (rv.get(j).contains(a)) num += 1
+    var j   = 0
+    while (j < k) {
+      val a = bins.get(key(u, j))
+      val b = bins.get(key(v, j))
+      if (a != 0L || b != 0L) den += 1
+      if (a != 0L && a == b) num += 1
+      j += 1
     }
-    rv.keysIterator.foreach(j => if (!ru.contains(j)) den += 1)
     val jac = if (den == 0) 0.0 else num.toDouble / den
-    val s   = jac * (cardinality(u) + cardinality(v)) / (jac + 1.0)
-    (s, jac)
+    (SimilaritySketch.commonOf(jac, cardinality(u), cardinality(v)), jac)
   }
 }

@@ -30,12 +30,9 @@ final class RandomPairing(val k: Int, val seed: Long = 13L)
     extends SimilaritySketch with UserCounters {
   require(k > 0, s"k must be positive, got $k")
 
-  /** ∅ sample sentinel (item ids are nonnegative). */
-  val Empty: Long = -1L
-
   /** State of the k samplers of one user. */
   private final class UserState {
-    val phi = Array.fill(k)(Empty)
+    val phi = Array.fill(k)(Registers.Empty)
     val c1  = new Array[Int](k)
     val c2  = new Array[Int](k)
   }
@@ -58,13 +55,13 @@ final class RandomPairing(val k: Int, val seed: Long = 13L)
           else st.c2(j) -= 1
         } else {
           // Plain reservoir of size 1 over n+1 items.
-          if (st.phi(j) == Empty || rng.nextLong(n + 1) == 0L) st.phi(j) = e.item
+          if (st.phi(j) == Registers.Empty || rng.nextLong(n + 1) == 0L) st.phi(j) = e.item
         }
         j += 1
       }
     } else {
       while (j < k) {
-        if (st.phi(j) == e.item) { st.phi(j) = Empty; st.c1(j) += 1 }
+        if (st.phi(j) == e.item) { st.phi(j) = Registers.Empty; st.c1(j) += 1 }
         else st.c2(j) += 1
         j += 1
       }
@@ -73,22 +70,14 @@ final class RandomPairing(val k: Int, val seed: Long = 13L)
   }
 
   /** Current samples of a user (all-∅ if never seen); exposed for tests. */
-  def samples(user: Long): Array[Long] =
-    states.get(user).map(_.phi.clone()).getOrElse(Array.fill(k)(Empty))
+  def samples(user: Long): Array[Long] = phi(user).clone()
+
+  private def phi(user: Long): Array[Long] = states.get(user).fold(Array.fill(k)(Registers.Empty))(_.phi)
 
   override def estimatePair(u: Long, v: Long): (Double, Double) = {
-    val pu = states.get(u).map(_.phi).getOrElse(Array.fill(k)(Empty))
-    val pv = states.get(v).map(_.phi).getOrElse(Array.fill(k)(Empty))
-    var matches = 0
-    var j = 0
-    while (j < k) {
-      if (pu(j) != Empty && pu(j) == pv(j)) matches += 1
-      j += 1
-    }
-    val nu = cardinality(u).toDouble
-    val nv = cardinality(v).toDouble
-    val s  = math.min(nu * nv * matches / k, math.min(nu, nv))
-    val j2 = if (nu + nv == 0) 0.0 else math.min(s / (nu + nv - s), 1.0)
-    (s, j2)
+    val nu = cardinality(u)
+    val nv = cardinality(v)
+    val s  = math.min(nu.toDouble * nv * Registers.matches(phi(u), phi(v)) / k, math.min(nu, nv).toDouble)
+    (s, SimilaritySketch.jaccardOf(s, nu, nv))
   }
 }

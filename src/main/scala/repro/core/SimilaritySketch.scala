@@ -25,6 +25,21 @@ trait SimilaritySketch extends Serializable {
   def estimatePair(u: Long, v: Long): (Double, Double)
 }
 
+/** The two conversions between ŝ and Ĵ that the estimators share, given
+  * the exact cardinalities n_u and n_v.
+  */
+object SimilaritySketch {
+
+  /** `Ĵ = ŝ/(n_u+n_v−ŝ)` clamped into [0, 1]; 0 when both sets are empty. */
+  def jaccardOf(s: Double, nu: Long, nv: Long): Double =
+    if (nu + nv == 0) 0.0 else math.min(math.max(s / (nu + nv - s), 0.0), 1.0)
+
+  /** `ŝ = Ĵ·(n_u+n_v)/(Ĵ+1)`, the inverse of [[jaccardOf]]. Not clamped: it
+    * may exceed min(n_u, n_v), as the paper's formula does.
+    */
+  def commonOf(j: Double, nu: Long, nv: Long): Double = j * (nu + nv) / (j + 1.0)
+}
+
 /** Shared per-user exact counters n_u — the paper keeps one counter per
   * occurred user for every method — in the same [[CounterMap]] as VOS.
   */

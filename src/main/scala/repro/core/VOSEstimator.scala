@@ -56,10 +56,7 @@ object VOSEstimator {
     val nDelta = estimateNDelta(k, alpha, beta)
     val sRaw   = (nu + nv) / 2.0 - nDelta / 2.0
     val s      = math.min(math.max(sRaw, 0.0), math.min(nu, nv).toDouble)
-    val j =
-      if (nu + nv == 0) 0.0
-      else math.min(math.max(s / (nu + nv - s), 0.0), 1.0)
-    VOSEstimate(nDelta, sRaw, s, j, alpha, beta)
+    VOSEstimate(nDelta, sRaw, s, SimilaritySketch.jaccardOf(s, nu, nv), alpha, beta)
   }
 
   /** Theoretical P(Ô_u[j] ⊕ Ô_v[j] = 1) for true symmetric difference

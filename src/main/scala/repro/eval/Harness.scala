@@ -10,8 +10,8 @@ import repro.stream.{DatasetSpec, DynamicStreamGen, EdgeEvent, GraphGen}
   * @param kBaseline   registers per user for MinHash/OPH/RP (paper: k=100)
   * @param lambda      VOS sketch-size multiplier (paper: λ=2 → k_vos = 64·k)
   * @param topUsers    number of largest-cardinality users tracked
-  *                    (paper: 5000 out of millions; scaled down here so
-  *                    every tracked user still has a large item set)
+  *                    (paper: 5000 out of millions; 150 here, where every
+  *                    tracked user still holds hundreds of items)
   * @param maxPairs    cap on tracked pairs (seeded sample) to bound
   *                    checkpoint cost
   * @param checkpoints number of evenly spaced evaluation times
@@ -22,7 +22,7 @@ import repro.stream.{DatasetSpec, DynamicStreamGen, EdgeEvent, GraphGen}
 final case class EvalConfig(
     kBaseline: Int = 100,
     lambda: Int = 2,
-    topUsers: Int = 300,
+    topUsers: Int = 150,
     maxPairs: Int = 1000,
     checkpoints: Int = 10,
     d: Double = 0.5,

@@ -2,7 +2,7 @@ package repro
 
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.baselines.{ExactSim, MinHashDyn, OPHDyn, RandomPairing}
+import repro.baselines.{ExactSim, MinHashDyn, OPHDyn, RandomPairing, Registers}
 import repro.core.{VOSHashes, VOSSketch}
 import repro.stream.EdgeEvent
 
@@ -45,7 +45,7 @@ class InvariantsSpec extends AnyFunSuite {
         exact.update(e); mh.update(e)
         (0L until 8L).forall { u =>
           val present = exact.itemsOf(u)
-          mh.registers(u).forall(r => r == mh.Empty || present.contains(r))
+          mh.registers(u).forall(r => r == Registers.Empty || present.contains(r))
         }
       }
     }, min = 15)
@@ -60,7 +60,7 @@ class InvariantsSpec extends AnyFunSuite {
         (0L until 8L).forall { u =>
           val present = exact.itemsOf(u)
           oph.registers(u).zipWithIndex.forall { case (r, j) =>
-            r == oph.Empty || (present.contains(r) && oph.bin(r) == j)
+            r == Registers.Empty || (present.contains(r) && oph.bin(r) == j)
           }
         }
       }
@@ -75,7 +75,7 @@ class InvariantsSpec extends AnyFunSuite {
         exact.update(e); rp.update(e)
         (0L until 8L).forall { u =>
           val present = exact.itemsOf(u)
-          rp.samples(u).forall(s => s == rp.Empty || present.contains(s))
+          rp.samples(u).forall(s => s == Registers.Empty || present.contains(s))
         }
       }
     }, min = 15)

@@ -38,7 +38,6 @@ object SynthData {
       r: Double = 0.5,
       seed: Long = 1234L,
   ): DataFrame = {
-    import spark.implicits._
     edgeStream(spark, spec, d, r, seed)
       .select(
         col("user"), col("item"),

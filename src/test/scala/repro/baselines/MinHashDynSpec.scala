@@ -15,7 +15,7 @@ class MinHashDynSpec extends AnyFunSuite {
 
   test("registers start empty and counters at zero") {
     val mh = new MinHashDyn(8)
-    assert(mh.registers(1L).forall(_ == mh.Empty))
+    assert(mh.registers(1L).forall(_ == Registers.Empty))
     assert(mh.cardinality(1L) == 0)
   }
 
@@ -52,14 +52,14 @@ class MinHashDynSpec extends AnyFunSuite {
     insertAll(mh, 1L, 0L until 10L)
     val victim = mh.registers(1L)(0)
     mh.update(EdgeEvent(1L, victim, insert = false, 100L))
-    assert(mh.registers(1L)(0) == mh.Empty)
+    assert(mh.registers(1L)(0) == Registers.Empty)
   }
 
   test("empty register repopulates on the next insert (case 1 on empty)") {
     val mh = new MinHashDyn(4, seed = 7)
     insertAll(mh, 1L, Seq(5L))
     mh.update(EdgeEvent(1L, 5L, insert = false, 2L))
-    assert(mh.registers(1L).forall(_ == mh.Empty))
+    assert(mh.registers(1L).forall(_ == Registers.Empty))
     mh.update(EdgeEvent(1L, 9L, insert = true, 3L))
     assert(mh.registers(1L).forall(_ == 9L))
   }

@@ -1,8 +1,60 @@
 package repro.baselines
 
+import scala.collection.mutable
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestStreams
+import repro.core.{Hashing, SimilaritySketch, UserCounters}
 import repro.stream.EdgeEvent
+
+/** OPH's first store: per user, a boxed map from bin to item. [[OPHDyn]]
+  * must reproduce its registers and estimates exactly.
+  */
+private final class NestedMapOPH(val k: Int, val seed: Long = 11L)
+    extends SimilaritySketch with UserCounters {
+  private val regs = mutable.HashMap.empty[Long, mutable.HashMap[Int, Long]]
+
+  override def name: String = "OPH (nested maps)"
+
+  def h(item: Long): Long = Hashing.hash64(item, seed)
+
+  def bin(item: Long): Int = Hashing.reduce(h(item), k)
+
+  override def update(e: EdgeEvent): Unit = {
+    val r = regs.getOrElseUpdate(e.user, mutable.HashMap.empty)
+    val j = bin(e.item)
+    if (e.insert) {
+      r.get(j) match {
+        case Some(cur)
+            if java.lang.Long.compareUnsigned(h(e.item), h(cur)) >= 0 => ()
+        case _ => r.update(j, e.item)
+      }
+    } else {
+      if (r.get(j).contains(e.item)) r.remove(j)
+    }
+    bumpCounter(e.user, e.insert)
+  }
+
+  def registers(user: Long): Array[Long] = {
+    val r = regs.getOrElse(user, mutable.HashMap.empty[Int, Long])
+    Array.tabulate(k)(j => r.getOrElse(j, Registers.Empty))
+  }
+
+  override def estimatePair(u: Long, v: Long): (Double, Double) = {
+    val ru = regs.getOrElse(u, mutable.HashMap.empty[Int, Long])
+    val rv = regs.getOrElse(v, mutable.HashMap.empty[Int, Long])
+    var num = 0
+    var den = 0
+    ru.foreach { case (j, a) =>
+      den += 1
+      if (rv.get(j).contains(a)) num += 1
+    }
+    rv.keysIterator.foreach(j => if (!ru.contains(j)) den += 1)
+    val jac = if (den == 0) 0.0 else num.toDouble / den
+    val s   = jac * (cardinality(u) + cardinality(v)) / (jac + 1.0)
+    (s, jac)
+  }
+}
 
 class OPHDynSpec extends AnyFunSuite {
 
@@ -39,7 +91,7 @@ class OPHDynSpec extends AnyFunSuite {
         val expect = inBin.minBy(o.h)(
           Ordering.fromLessThan((a, b) => java.lang.Long.compareUnsigned(a, b) < 0))
         assert(r(j) == expect, s"bin $j")
-      } else assert(r(j) == o.Empty)
+      } else assert(r(j) == Registers.Empty)
     }
   }
 
@@ -58,10 +110,10 @@ class OPHDynSpec extends AnyFunSuite {
     val o = new OPHDyn(8, seed = 6)
     insertAll(o, 1L, 0L until 50L)
     val r = o.registers(1L)
-    val j = r.indexWhere(_ != o.Empty)
+    val j = r.indexWhere(_ != Registers.Empty)
     val victim = r(j)
     o.update(EdgeEvent(1L, victim, insert = false, 100L))
-    assert(o.registers(1L)(j) == o.Empty)
+    assert(o.registers(1L)(j) == Registers.Empty)
   }
 
   test("deleting a non-stored item is a no-op on registers (the bias)") {
@@ -121,5 +173,56 @@ class OPHDynSpec extends AnyFunSuite {
     val o = new OPHDyn(8)
     TestStreams.withChurn(3L, items = 0L until 7L, churn = 50L until 60L).foreach(o.update)
     assert(o.cardinality(3L) == 7)
+  }
+
+  test("registers and estimates equal the nested-map store's on any stream") {
+    val gen = for {
+      k     <- Gen.oneOf(1, 3, 64, 1000)
+      // First of 8 consecutive user ids: zero, negative, large, and the
+      // extremes whose bin keys u·k + j still fit in a Long.
+      first <- Gen.oneOf(0L, -5L, -(1L << 40), 1L << 50, Long.MinValue / k, (Long.MaxValue - k) / k - 8)
+      seed  <- Gen.choose(0L, 100000L)
+      len   <- Gen.choose(0, 400)
+      items <- Gen.choose(5, 2000)
+      churn <- Gen.oneOf(false, true)
+    } yield {
+      val events =
+        if (churn)
+          (0 until 8).flatMap { u =>
+            val kept = (u * 3 until u * 3 + 20).map(_.toLong)
+            TestStreams.withChurn(u.toLong, kept, churn = (1000L + u) until (1000L + u + len / 8))
+          }
+        else TestStreams.random(numUsers = 8, numItems = items, length = len, seed = seed)
+      (k, first, events.map(e => e.copy(user = first + e.user)))
+    }
+    val check = Prop.forAll(gen) { case (k, first, events) =>
+      val got  = new OPHDyn(k)
+      val want = new NestedMapOPH(k)
+      def same(): Boolean = (first until first + 8).forall { u =>
+        got.registers(u).sameElements(want.registers(u)) &&
+        (first until first + 8).forall { v =>
+          val (gs, gj) = got.estimatePair(u, v)
+          val (ws, wj) = want.estimatePair(u, v)
+          java.lang.Double.doubleToRawLongBits(gs) == java.lang.Double.doubleToRawLongBits(ws) &&
+          java.lang.Double.doubleToRawLongBits(gj) == java.lang.Double.doubleToRawLongBits(wj)
+        }
+      }
+      events.zipWithIndex.forall { case (e, t) =>
+        got.update(e); want.update(e)
+        (t + 1) % 100 != 0 || same()
+      } && same()
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(60), check)
+    assert(res.passed, res.status.toString)
+  }
+
+  test("a user whose bin keys would overflow a Long throws instead of sharing another's bins") {
+    val o = new OPHDyn(1000)
+    intercept[ArithmeticException](o.update(EdgeEvent(Long.MaxValue / 1000 + 1, 5L, insert = true, 1L)))
+    intercept[ArithmeticException](o.update(EdgeEvent(Long.MinValue / 1000 - 1, 5L, insert = true, 1L)))
+    assert(o.cardinality(Long.MaxValue / 1000 + 1) == 0)
+    // u·k fits but u·k + j does not for the last bins.
+    intercept[ArithmeticException](new OPHDyn(3).registers(Long.MaxValue / 3))
+    intercept[ArithmeticException](new OPHDyn(3).estimatePair(0L, Long.MaxValue / 3))
   }
 }

@@ -17,7 +17,7 @@ class RandomPairingSpec extends AnyFunSuite {
 
   test("samples start empty") {
     val rp = new RandomPairing(8)
-    assert(rp.samples(1L).forall(_ == rp.Empty))
+    assert(rp.samples(1L).forall(_ == Registers.Empty))
   }
 
   test("first insert fills every sampler") {
@@ -32,14 +32,14 @@ class RandomPairingSpec extends AnyFunSuite {
     insertAll(rp, 1L, 0L until 30L)
     deleteAll(rp, 1L, 5L until 15L)
     val present = ((0L until 5L) ++ (15L until 30L)).toSet
-    rp.samples(1L).foreach(s => assert(s == rp.Empty || present.contains(s), s"stale sample $s"))
+    rp.samples(1L).foreach(s => assert(s == Registers.Empty || present.contains(s), s"stale sample $s"))
   }
 
   test("deleting the sampled item empties that sampler") {
     val rp = new RandomPairing(4, seed = 3)
     insertAll(rp, 1L, Seq(7L))
     deleteAll(rp, 1L, Seq(7L))
-    assert(rp.samples(1L).forall(_ == rp.Empty))
+    assert(rp.samples(1L).forall(_ == Registers.Empty))
     assert(rp.cardinality(1L) == 0)
   }
 
@@ -50,7 +50,7 @@ class RandomPairingSpec extends AnyFunSuite {
     insertAll(rp, 1L, Seq(10L))
     // After full churn the only present item is 10; samplers that refilled
     // must hold it.
-    rp.samples(1L).foreach(s => assert(s == rp.Empty || s == 10L))
+    rp.samples(1L).foreach(s => assert(s == Registers.Empty || s == 10L))
     assert(rp.cardinality(1L) == 1)
   }
 
@@ -84,7 +84,7 @@ class RandomPairingSpec extends AnyFunSuite {
       insertAll(rp, 1L, 100L until 110L)
       deleteAll(rp, 1L, 100L until 110L)
       val s = rp.samples(1L)(0)
-      if (s != rp.Empty) counts(s) += 1
+      if (s != Registers.Empty) counts(s) += 1
     }
     assert(counts.keySet.subsetOf((10L until 20L).toSet), s"stale items sampled: ${counts.keySet}")
     // ~50% of samplers lose their sample to the deletions and may end the
