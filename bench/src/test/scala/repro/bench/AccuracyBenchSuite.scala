@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.eval.{BenchTables, EvalConfig}
+import repro.eval.{BenchTables, EvalConfig, Harness}
 import repro.stream.DatasetSpec
 
 /** T3 + T4 (paper Figure 3(a)/(c)): accuracy over time on the YouTube
@@ -15,7 +15,7 @@ import repro.stream.DatasetSpec
 class AccuracyBenchSuite extends AnyFunSuite {
 
   private val cfg = EvalConfig(kBaseline = 100)
-  private lazy val rows = BenchTables.accuracyOverTime(DatasetSpec.youtube, cfg)
+  private lazy val rows = Harness.evaluate(DatasetSpec.youtube, cfg)
 
   private def at(method: String, cp: Int) =
     rows.find(r => r.method == method && r.checkpoint == cp).get

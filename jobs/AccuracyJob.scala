@@ -1,6 +1,6 @@
 package repro.jobs
 
-import repro.eval.{BenchTables, EvalConfig}
+import repro.eval.{BenchTables, EvalConfig, Harness}
 import repro.stream.DatasetSpec
 
 /** spark-submit entrypoint reproducing Figure 3(a)/(c) (tables T3 and T4):
@@ -11,7 +11,7 @@ import repro.stream.DatasetSpec
 object AccuracyJob {
   def main(args: Array[String]): Unit = {
     val k    = args.headOption.map(_.toInt).getOrElse(100)
-    val rows = BenchTables.accuracyOverTime(DatasetSpec.youtube, EvalConfig(kBaseline = k))
+    val rows = Harness.evaluate(DatasetSpec.youtube, EvalConfig(kBaseline = k))
     println(BenchTables.renderAccuracyOverTime(
       rows, "AAPE", s"T3 (Fig 3a): AAPE of s-hat over time, ${DatasetSpec.youtube.name}, k=$k"))
     println(BenchTables.renderAccuracyOverTime(

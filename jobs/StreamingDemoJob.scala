@@ -2,6 +2,7 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 import repro.core.{VOSSketch, VOSStreaming}
+import repro.eval.Harness
 import repro.stream.{DatasetSpec, DynamicStreamGen, GraphGen}
 
 /** spark-submit entrypoint demonstrating the Structured Streaming build of
@@ -21,13 +22,12 @@ object StreamingDemoJob {
       .getOrCreate()
     val spec   = DatasetSpec.scaled(DatasetSpec.youtube, 0.1)
     val stream = DynamicStreamGen.generate(GraphGen.baseEdges(spec))
-    val numUsers = stream.iterator.map(_.user).distinct.size
-    val hashes = VOSSketch.paperConfig(100, numUsers)
+    val hashes = VOSSketch.paperConfig(100, spec.numUsers)
     val sketch = VOSStreaming.run(spark, hashes, numPartitions = 64, stream, batches)
 
     val exact = new repro.baselines.ExactSim
     stream.foreach(exact.update)
-    val top = exact.users.toSeq.sortBy(u => (-exact.cardinality(u), u)).take(6)
+    val top = Harness.topUsers(exact, 6)
     println(f"${"pair"}%-16s ${"s_true"}%8s ${"s_hat"}%10s ${"J_true"}%8s ${"J_hat"}%8s")
     for (Seq(u, v) <- top.combinations(2).take(10)) {
       val (sHat, jHat) = sketch.estimatePair(u, v)

@@ -93,12 +93,6 @@ final class BitArray(val numBits: Int) extends Serializable {
     bit
   }
 
-  /** Set bit at `pos` to `bit` (0 or 1). */
-  def set(pos: Int, bit: Int): Unit = {
-    require(bit == 0 || bit == 1, s"bit must be 0 or 1, got $bit")
-    if (get(pos) != bit) { flip(pos); () }
-  }
-
   /** XOR `other` into this array in place. Arrays must have equal length. */
   def xorInPlace(other: BitArray): Unit = {
     require(other.numBits == numBits,

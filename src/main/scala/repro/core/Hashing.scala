@@ -37,15 +37,9 @@ object Hashing {
     */
   def hash64(key: Long, seed: Long): Long = mix64(hashInput(key, seed))
 
-  /** Seeded hash reduced to `[0, n)` without modulo bias (multiply-shift
-    * on the high bits).
+  /** `h` read as unsigned, scaled to `[0, n)` without modulo bias:
+    * `(h · n) >> 64`. `n > 0`.
     */
-  def bounded(key: Long, seed: Long, n: Int): Int = {
-    require(n > 0, s"range must be positive, got $n")
-    reduce(hash64(key, seed), n)
-  }
-
-  /** `h` read as unsigned, scaled to `[0, n)`: `(h · n) >> 64`. `n > 0`. */
   def reduce(h: Long, n: Int): Int =
     (Math.multiplyHigh(h, n.toLong) + (if (h < 0) n.toLong else 0L)).toInt
 }
@@ -64,7 +58,7 @@ final case class VOSHashes(k: Int, m: Int, seed: Long) extends Serializable {
   private val fSeed   = Hashing.mix64(seed ^ 0x27d4eb2f165667c5L)
 
   /** ψ(i) ∈ [0, k): which bit of user's odd sketch item `i` lands in. */
-  def psi(item: Long): Int = Hashing.bounded(item, psiSeed, k)
+  def psi(item: Long): Int = Hashing.reduce(Hashing.hash64(item, psiSeed), k)
 
   /** f_j(u) ∈ [0, m): which bit of the shared array stores bit j of u's
     * odd sketch. The per-edge position is `f(psi(i), u)` — two hash
@@ -72,8 +66,11 @@ final case class VOSHashes(k: Int, m: Int, seed: Long) extends Serializable {
     */
   def f(j: Int, user: Long): Int = {
     require(j >= 0 && j < k, s"register index $j out of [0,$k)")
-    Hashing.bounded(user, fSeed + VOSHashes.FStride * j, m)
+    fUnchecked(j, user)
   }
+
+  private def fUnchecked(j: Int, user: Long): Int =
+    Hashing.reduce(Hashing.hash64(user, fSeed + VOSHashes.FStride * j), m)
 
   /** Cursor over user `u`'s odd-sketch positions in the shared array: the
     * j-th `getAsInt` (from 0) returns `f(j, u)`; the first k calls give the
@@ -86,14 +83,11 @@ final case class VOSHashes(k: Int, m: Int, seed: Long) extends Serializable {
     new VOSHashes.FWalk(start, Hashing.hashInput(user, fSeed + VOSHashes.FStride) - start, m)
   }
 
-  /** Shared-array position touched by edge (user, item): `f_{ψ(i)}(u)`,
-    * computed directly: ψ's range is `[0, k)` by construction, so the
-    * index check of [[f]] is not needed.
+  /** Shared-array position touched by edge (user, item): `f_{ψ(i)}(u)`.
+    * ψ's range is `[0, k)` by construction, so the index check of [[f]] is
+    * not needed.
     */
-  def position(user: Long, item: Long): Int = {
-    val j = Hashing.reduce(Hashing.hash64(item, psiSeed), k)
-    Hashing.reduce(Hashing.hash64(user, fSeed + VOSHashes.FStride * j), m)
-  }
+  def position(user: Long, item: Long): Int = fUnchecked(psi(item), user)
 }
 
 object VOSHashes {

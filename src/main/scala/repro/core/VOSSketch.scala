@@ -106,12 +106,6 @@ final class VOSSketch(val hashes: VOSHashes) extends SimilaritySketch {
     }
   }
 
-  /** Fold a whole stream prefix into this sketch. */
-  def updateAll(events: IterableOnce[EdgeEvent]): this.type = {
-    events.iterator.foreach(update)
-    this
-  }
-
   /** Merge another partial sketch built with the same `hashes` (XOR the
     * arrays, sum the counters). Associative and commutative.
     */
@@ -211,19 +205,25 @@ object VOSSketch {
   }
 
   /** Build a sketch over a full stream sequentially (reference path). */
-  def build(hashes: VOSHashes, events: IterableOnce[EdgeEvent]): VOSSketch =
-    new VOSSketch(hashes).updateAll(events)
+  def build(hashes: VOSHashes, events: IterableOnce[EdgeEvent]): VOSSketch = {
+    val sketch = new VOSSketch(hashes)
+    events.iterator.foreach(sketch.update)
+    sketch
+  }
 
   /** The paper's equal-memory configuration: baselines get k registers of
     * 32 bits per user, so the shared array has `m = 32·k·numUsers` bits and
     * VOS's virtual sketch has `k_vos = λ·32·k` bits.
     */
-  def paperConfig(kBaseline: Int, numUsers: Int, lambda: Int = 2, seed: Long = 42L): VOSHashes = {
-    require(kBaseline > 0 && numUsers > 0 && lambda > 0,
-      s"invalid config: k=$kBaseline users=$numUsers lambda=$lambda")
+  def paperConfig(kBaseline: Int, numUsers: Int, lambda: Int = 2, seed: Long = 42L): VOSHashes =
+    VOSHashes(k = lambda * 32 * kBaseline, m = paperM(kBaseline, numUsers), seed = seed)
+
+  /** The shared-array bits of [[paperConfig]]: `m = 32·k·numUsers`. */
+  def paperM(kBaseline: Int, numUsers: Int): Int = {
+    require(kBaseline > 0 && numUsers > 0, s"invalid config: k=$kBaseline users=$numUsers")
     val m = 32L * kBaseline * numUsers
     require(m <= Int.MaxValue, s"m=$m bits exceeds addressable range")
-    VOSHashes(k = lambda * 32 * kBaseline, m = m.toInt, seed = seed)
+    m.toInt
   }
 }
 

@@ -1,36 +1,34 @@
 package repro.eval
 
-import repro.baselines.{MinHashDyn, OPHDyn, RandomPairing}
-import repro.core.{SimilaritySketch, VOSHashes, VOSSketch}
+import repro.core.SimilaritySketch
 import repro.eval.RuntimeMeasure.RuntimeRow
 import repro.stream.{DatasetSpec, DynamicStreamGen, EdgeEvent, GraphGen}
 
-/** Producers for the evaluation tables T1–T6 (DESIGN.md § 6) — the
-  * numbers behind the paper's Figures 2 and 3. Shared between the
-  * `bench/` suites and the `jobs/` spark-submit entrypoints so both print
-  * identical rows.
+/** Producers and renderers for the evaluation tables T1–T6 (DESIGN.md
+  * § 6) — the numbers behind the paper's Figures 2 and 3; the rows of
+  * T3/T4 are those of [[Harness.evaluate]]. Shared between the `bench/`
+  * suites and the `jobs/` spark-submit entrypoints so both print identical
+  * rows.
   */
 object BenchTables {
 
   /** k sweep of Figure 2(a). */
   val RuntimeKs: Seq[Int] = Seq(1, 10, 100, 1000, 10000, 100000)
 
-  /** The shared-array size used for runtime rows only: update cost is
+  /** VOS's shared-array size in the runtime rows: update cost is
     * independent of m, and the paper's m = 32·k·|U| at k = 10⁵ would not
     * fit an `Int`-addressed array; 2²⁶ bits keeps allocation trivial.
     */
   private val RuntimeM = 1 << 26
 
-  private def freshMethod(method: String, k: Int, seed: Long): () => SimilaritySketch =
-    method match {
-      case "VOS"     => () => new VOSSketch(VOSHashes(64 * k, RuntimeM, seed))
-      case "OPH"     => () => new OPHDyn(k, seed)
-      case "MinHash" => () => new MinHashDyn(k, seed)
-      case "RP"      => () => new RandomPairing(k, seed)
-      case other     => throw new IllegalArgumentException(s"unknown method $other")
-    }
+  /** The roster of [[Harness.methods]] at `k` registers, with VOS over
+    * [[RuntimeM]] bits.
+    */
+  private def roster(k: Int, seed: Long): Seq[() => SimilaritySketch] =
+    Harness.methods(EvalConfig(kBaseline = k, seed = seed), RuntimeM)
 
-  val MethodNames: Seq[String] = Seq("VOS", "MinHash", "OPH", "RP")
+  /** The roster's names: the runtime tables' columns. */
+  private val MethodNames: Seq[String] = Harness.methods(EvalConfig(kBaseline = 1), 1).map(_().name)
 
   /** Time every method's `update` once at `k` and discard the rows. The
     * `update` call site in [[RuntimeMeasure.measure]] has then seen every
@@ -39,7 +37,7 @@ object BenchTables {
     * `VOSSketch` alone and reads low against the rest of its column.
     */
   private def warmCallSite(k: Int, stream: IndexedSeq[EdgeEvent], seed: Long): Unit =
-    MethodNames.foreach(method => RuntimeMeasure.measure(k, freshMethod(method, k, seed), stream))
+    roster(k, seed).foreach(RuntimeMeasure.measure(k, _, stream))
 
   /** T1 (Fig 2a): ns/edge vs k on one dataset, all methods. */
   def runtimeVsK(spec: DatasetSpec = DatasetSpec.youtube,
@@ -47,10 +45,7 @@ object BenchTables {
                  seed: Long = 42L): Seq[RuntimeRow] = {
     val stream = DynamicStreamGen.generate(GraphGen.baseEdges(spec), seed = seed)
     ks.headOption.foreach(warmCallSite(_, stream, seed))
-    for {
-      k      <- ks
-      method <- MethodNames
-    } yield RuntimeMeasure.measure(k, freshMethod(method, k, seed), stream)
+    ks.flatMap(k => roster(k, seed).map(RuntimeMeasure.measure(k, _, stream)))
   }
 
   /** T2 (Fig 2b): ns/edge at one k for every dataset, all methods. */
@@ -60,22 +55,15 @@ object BenchTables {
     specs.zipWithIndex.flatMap { case (spec, i) =>
       val stream = DynamicStreamGen.generate(GraphGen.baseEdges(spec), seed = seed)
       if (i == 0) warmCallSite(k, stream, seed)
-      MethodNames.map(method => (spec.name, RuntimeMeasure.measure(k, freshMethod(method, k, seed), stream)))
+      roster(k, seed).map(fresh => (spec.name, RuntimeMeasure.measure(k, fresh, stream)))
     }
 
-  /** T3+T4 (Fig 3a/3c): accuracy over time on one dataset. */
-  def accuracyOverTime(spec: DatasetSpec = DatasetSpec.youtube,
-                       cfg: EvalConfig = EvalConfig()): Seq[AccuracyRow] =
-    Harness.evaluate(spec, cfg)
-
-  /** T5+T6 (Fig 3b/3d): end-of-stream accuracy on every dataset. */
+  /** T5+T6 (Fig 3b/3d): end-of-stream accuracy on every dataset, from one
+    * checkpoint at the stream's end.
+    */
   def accuracyAllDatasets(specs: Seq[DatasetSpec] = DatasetSpec.all,
                           cfg: EvalConfig = EvalConfig()): Seq[AccuracyRow] =
-    specs.flatMap { spec =>
-      val rows = Harness.evaluate(spec, cfg)
-      val last = rows.map(_.checkpoint).max
-      rows.filter(_.checkpoint == last)
-    }
+    specs.flatMap(Harness.evaluate(_, cfg.copy(checkpoints = 1)))
 
   // ---- rendering ----
 

@@ -2,7 +2,7 @@ package repro.eval
 
 import scala.collection.mutable
 import repro.baselines.{ExactSim, MinHashDyn, OPHDyn, RandomPairing}
-import repro.core.{SimilaritySketch, VOSSketch}
+import repro.core.{SimilaritySketch, VOSHashes, VOSSketch}
 import repro.stream.{DatasetSpec, DynamicStreamGen, EdgeEvent, GraphGen}
 
 /** Evaluation configuration mirroring the paper's § V setup.
@@ -38,7 +38,6 @@ final case class PreparedDataset(
     spec: DatasetSpec,
     stream: IndexedSeq[EdgeEvent],
     pairs: IndexedSeq[(Long, Long)],
-    numUsers: Int,
 )
 
 /** One (dataset, method, checkpoint) accuracy row. */
@@ -52,9 +51,10 @@ final case class AccuracyRow(
     pairsUsed: Int,
 )
 
-/** Sequential evaluation harness: generates streams, replays them through
-  * every method, and produces the rows behind the paper's Figures 2–3
-  * (tables T1–T6 in DESIGN.md § 6).
+/** The one experiment setup of the paper's § V, and the sequential
+  * evaluation that replays it: the method roster at memory parity, the
+  * tracked users and pairs, and the checkpoints behind Figures 2–3 (tables
+  * T1–T6 in DESIGN.md § 6).
   */
 object Harness {
 
@@ -66,25 +66,12 @@ object Harness {
     // Final sets → top users → candidate pairs with ≥1 common item.
     val finalSets = new ExactSim
     stream.foreach(finalSets.update)
-    val top = finalSets.users.toIndexedSeq
-      .map(u => (u, finalSets.cardinality(u)))
-      .sortBy { case (u, n) => (-n, u) }
-      .take(cfg.topUsers)
-      .map(_._1)
-
-    val itemSets: Map[Long, Set[Long]] = top.map(u => u -> finalSets.itemsOf(u)).toMap
-    val candidates = IndexedSeq.newBuilder[(Long, Long)]
-    var i = 0
-    while (i < top.length) {
-      var j = i + 1
-      while (j < top.length) {
-        val (u, v) = (top(i), top(j))
-        if (itemSets(u).exists(itemSets(v).contains)) candidates += ((u, v))
-        j += 1
-      }
-      i += 1
-    }
-    val all = candidates.result()
+    val top = topUsers(finalSets, cfg.topUsers)
+    val all = for {
+      i <- top.indices
+      j <- i + 1 until top.length
+      if finalSets.commonItems(top(i), top(j)) > 0
+    } yield (top(i), top(j))
     val pairs =
       if (all.length <= cfg.maxPairs) all
       else {
@@ -94,20 +81,25 @@ object Harness {
         while (t > 0) { val s = rng.nextInt(t + 1); val tmp = idx(t); idx(t) = idx(s); idx(s) = tmp; t -= 1 }
         IndexedSeq.tabulate(cfg.maxPairs)(p => all(idx(p)))
       }
-
-    val numUsers = stream.iterator.map(_.user).distinct.size
-    PreparedDataset(spec, stream, pairs, numUsers)
+    PreparedDataset(spec, stream, pairs)
   }
 
-  /** Fresh instances of the four methods under test (paper's memory
-    * parity: MinHash/OPH/RP get `kBaseline` 32-bit registers per user; VOS
-    * gets `m = 32·k·numUsers` shared bits and `k_vos = λ·32·k`).
+  /** The tracked users (paper § V): the `n` users with the largest sets in
+    * `finalSets`, ties broken by the smaller id.
     */
-  def methods(cfg: EvalConfig, numUsers: Int): Seq[SimilaritySketch] = Seq(
-    new VOSSketch(VOSSketch.paperConfig(cfg.kBaseline, numUsers, cfg.lambda, cfg.seed)),
-    new MinHashDyn(cfg.kBaseline, cfg.seed + 1),
-    new OPHDyn(cfg.kBaseline, cfg.seed + 2),
-    new RandomPairing(cfg.kBaseline, cfg.seed + 3),
+  def topUsers(finalSets: ExactSim, n: Int): IndexedSeq[Long] =
+    finalSets.users.toIndexedSeq.map(u => (-finalSets.cardinality(u), u)).sorted.take(n).map(_._2)
+
+  /** The four methods under test, in table order, as factories of fresh
+    * sketches at the paper's memory parity: MinHash/OPH/RP get `kBaseline`
+    * 32-bit registers per user; VOS gets `k_vos = λ·32·k` and `m` shared
+    * bits, which the paper sets to `32·k·|U|` ([[VOSSketch.paperM]]).
+    */
+  def methods(cfg: EvalConfig, m: Int): Seq[() => SimilaritySketch] = Seq(
+    () => new VOSSketch(VOSHashes(cfg.lambda * 32 * cfg.kBaseline, m, cfg.seed)),
+    () => new MinHashDyn(cfg.kBaseline, cfg.seed + 1),
+    () => new OPHDyn(cfg.kBaseline, cfg.seed + 2),
+    () => new RandomPairing(cfg.kBaseline, cfg.seed + 3),
   )
 
   /** Replay the stream through `sketches` (plus the exact substrate),
@@ -146,9 +138,11 @@ object Harness {
     rows.toSeq
   }
 
-  /** Convenience: prepare + run with the standard method set. */
-  def evaluate(spec: DatasetSpec, cfg: EvalConfig): Seq[AccuracyRow] = {
-    val prep = prepare(spec, cfg)
-    runAccuracy(prep, cfg, methods(cfg, prep.numUsers))
-  }
+  /** The rows of T3–T6 (Fig 3): prepare `spec`, then run the four methods
+    * at memory parity over its `numUsers` users. `GraphGen` gives every
+    * user a base edge, so all of them appear in the stream.
+    */
+  def evaluate(spec: DatasetSpec, cfg: EvalConfig): Seq[AccuracyRow] =
+    runAccuracy(prepare(spec, cfg), cfg,
+      methods(cfg, VOSSketch.paperM(cfg.kBaseline, spec.numUsers)).map(_()))
 }

@@ -26,7 +26,7 @@ object RuntimeMeasure {
   private val SampleNs    = 20 * StrideNs
   private val SampleCount = 5
 
-  def median(xs: Seq[Double]): Double = {
+  private def median(xs: Seq[Double]): Double = {
     val s = xs.sorted
     if (s.isEmpty) 0.0
     else if (s.length % 2 == 1) s(s.length / 2)

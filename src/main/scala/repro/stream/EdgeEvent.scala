@@ -8,7 +8,4 @@ package repro.stream
   *               unsubscription ("−")
   * @param time   1-based discrete arrival time within the stream
   */
-final case class EdgeEvent(user: Long, item: Long, insert: Boolean, time: Long) {
-  /** Paper notation for the action. */
-  def action: String = if (insert) "+" else "-"
-}
+final case class EdgeEvent(user: Long, item: Long, insert: Boolean, time: Long)

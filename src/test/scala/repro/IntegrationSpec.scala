@@ -13,8 +13,7 @@ class IntegrationSpec extends SparkSpec {
 
   private val spec   = DatasetSpec.scaled(DatasetSpec.youtube, 0.05)
   private lazy val stream = DynamicStreamGen.generate(GraphGen.baseEdges(spec), seed = 99L)
-  private lazy val numUsers = stream.map(_.user).distinct.size
-  private lazy val hashes   = VOSSketch.paperConfig(64, numUsers, seed = 77L)
+  private lazy val hashes = VOSSketch.paperConfig(64, spec.numUsers, seed = 77L)
 
   test("sequential, aggregator, and streaming builds agree on a real stream") {
     val s = spark
@@ -31,7 +30,7 @@ class IntegrationSpec extends SparkSpec {
     val vos   = VOSSketch.build(hashes, stream)
     val exact = new ExactSim
     stream.foreach(exact.update)
-    val top = exact.users.toSeq.sortBy(u => (-exact.cardinality(u), u)).take(12)
+    val top = Harness.topUsers(exact, 12)
     val pairs = top.combinations(2).map { case Seq(u, v) => (u, v) }.toSeq
       .filter { case (u, v) => exact.commonItems(u, v) >= 1 }
     assert(pairs.nonEmpty, "no overlapping top pairs — generator broken")
@@ -48,9 +47,7 @@ class IntegrationSpec extends SparkSpec {
     // Heavy churn: d = 0.9, r = 0.9 → many delete+reinsert cycles, where
     // the sampling bias the paper identifies dominates the error.
     val cfg = EvalConfig(kBaseline = 32, topUsers = 30, maxPairs = 60, checkpoints = 2, d = 0.9, r = 0.9)
-    val prep = Harness.prepare(spec, cfg)
-    val rows = Harness.runAccuracy(prep, cfg, Harness.methods(cfg, prep.numUsers))
-    val last = rows.filter(_.checkpoint == 2)
+    val last = Harness.evaluate(spec, cfg).filter(_.checkpoint == 2)
     def aape(m: String) = last.find(_.method == m).get.aape
     assert(aape("VOS") < aape("MinHash"), s"VOS ${aape("VOS")} vs MinHash ${aape("MinHash")}")
     assert(aape("VOS") < aape("OPH"), s"VOS ${aape("VOS")} vs OPH ${aape("OPH")}")
@@ -77,7 +74,7 @@ class IntegrationSpec extends SparkSpec {
 
   test("accuracy-over-time producer covers every checkpoint") {
     val cfg = EvalConfig(kBaseline = 16, topUsers = 15, maxPairs = 20, checkpoints = 3)
-    val rows = BenchTables.accuracyOverTime(DatasetSpec.scaled(DatasetSpec.youtube, 0.03), cfg)
+    val rows = Harness.evaluate(DatasetSpec.scaled(DatasetSpec.youtube, 0.03), cfg)
     assert(rows.map(_.checkpoint).distinct.sorted == Seq(1, 2, 3))
     val t3 = BenchTables.renderAccuracyOverTime(rows, "AAPE", "smoke T3")
     assert(t3.contains("checkpoint"))

@@ -137,9 +137,4 @@ class InvariantsSpec extends AnyFunSuite {
       }
     }, min = 15)
   }
-
-  test("EdgeEvent action notation matches the paper") {
-    assert(EdgeEvent(1, 2, insert = true, 1).action == "+")
-    assert(EdgeEvent(1, 2, insert = false, 1).action == "-")
-  }
 }

@@ -45,20 +45,6 @@ class BitArraySpec extends AnyFunSuite {
     val b = new BitArray(10)
     intercept[IllegalArgumentException](b.get(10))
     intercept[IllegalArgumentException](b.flip(-1))
-    intercept[IllegalArgumentException](b.set(11, 1))
-  }
-
-  test("set is idempotent") {
-    val b = new BitArray(32)
-    b.set(3, 1); b.set(3, 1)
-    assert(b.get(3) == 1 && b.onesCount == 1)
-    b.set(3, 0); b.set(3, 0)
-    assert(b.get(3) == 0 && b.onesCount == 0)
-  }
-
-  test("set rejects non-bit values") {
-    val b = new BitArray(8)
-    intercept[IllegalArgumentException](b.set(0, 2))
   }
 
   test("onesFraction") {
@@ -130,15 +116,15 @@ class BitArraySpec extends AnyFunSuite {
     assert(b.gather(supply(Array(3, 100)), 1).numBits == 1)
   }
 
-  test("mutationCount counts flips, sets that change a bit and xors") {
+  test("mutationCount counts flips, flipAll's flips and xors") {
     val a = new BitArray(70)
     assert(a.mutationCount == 0)
-    a.flip(3); a.set(4, 1); a.set(4, 1); a.get(5)
-    assert(a.mutationCount == 2)
+    a.flip(3); a.flipAll(Array(4, 4, 9), 2); a.get(5)
+    assert(a.mutationCount == 3)
     a.xorInPlace(new BitArray(70))
-    assert(a.mutationCount == 3)
+    assert(a.mutationCount == 4)
     a.hammingDistance(a.copy()); a.gather(supply(Array(1, 2)), 2)
-    assert(a.mutationCount == 3)
+    assert(a.mutationCount == 4)
   }
 
   test("wordBytes is 8 bytes per 64 bits") {

@@ -41,33 +41,29 @@ class HashingSpec extends AnyFunSuite {
     assert(Hashing.hash64(42L, 7L) == Hashing.hash64(42L, 7L))
   }
 
-  test("bounded stays in range") {
+  test("reduce of a seeded hash stays in range") {
     val rng = new java.util.SplittableRandom(3)
     (0 until 5000).foreach { _ =>
       val n = 1 + rng.nextInt(1000)
-      val v = Hashing.bounded(rng.nextLong(), rng.nextLong(), n)
+      val v = Hashing.reduce(Hashing.hash64(rng.nextLong(), rng.nextLong()), n)
       assert(v >= 0 && v < n, s"$v out of [0,$n)")
     }
   }
 
-  test("bounded rejects non-positive range") {
-    intercept[IllegalArgumentException](Hashing.bounded(1L, 2L, 0))
-  }
-
-  test("bounded is roughly uniform (chi-square bound, 16 buckets)") {
+  test("reduce of a seeded hash is roughly uniform (chi-square bound, 16 buckets)") {
     val n = 16
     val trials = 160000
     val counts = new Array[Int](n)
-    (0 until trials).foreach(i => counts(Hashing.bounded(i.toLong, 5L, n)) += 1)
+    (0 until trials).foreach(i => counts(Hashing.reduce(Hashing.hash64(i.toLong, 5L), n)) += 1)
     val expected = trials.toDouble / n
     val chi2 = counts.map(c => (c - expected) * (c - expected) / expected).sum
     // 15 dof: P(chi2 > 50) < 1e-5 — generous bound for a fixed seed.
-    assert(chi2 < 50, s"chi2=$chi2 suggests non-uniform bounded hash")
+    assert(chi2 < 50, s"chi2=$chi2 suggests non-uniform reduced hash")
   }
 
-  test("property: bounded in range for arbitrary inputs") {
-    check(Prop.forAll(Gen.long, Gen.long, Gen.choose(1, 1 << 20)) { (k, s, n) =>
-      val v = Hashing.bounded(k, s, n)
+  test("property: reduce in range for arbitrary inputs") {
+    check(Prop.forAll(Gen.long, Gen.choose(1, 1 << 20)) { (h, n) =>
+      val v = Hashing.reduce(h, n)
       v >= 0 && v < n
     })
   }
@@ -110,11 +106,13 @@ class HashingSpec extends AnyFunSuite {
     }, min = 200)
   }
 
-  test("reduce equals bounded at the top of the Int range") {
+  test("reduce equals (unsigned h · n) >> 64 at the top of the Int range") {
     val n = Int.MaxValue
     Seq(Long.MinValue, -1L, 0L, 1L, Long.MaxValue).foreach { key =>
-      val v = Hashing.reduce(Hashing.hash64(key, 3L), n)
-      assert(v == Hashing.bounded(key, 3L, n) && v >= 0 && v < n)
+      val h = Hashing.hash64(key, 3L)
+      val v = Hashing.reduce(h, n)
+      val unsigned = if (h < 0) BigInt(h) + (BigInt(1) << 64) else BigInt(h)
+      assert(v == ((unsigned * n) >> 64).toInt && v >= 0 && v < n)
     }
     assert(Hashing.reduce(-1L, n) == n - 1 && Hashing.reduce(0L, n) == 0)
   }

@@ -253,7 +253,6 @@ class VOSSketchSpec extends AnyFunSuite {
       1 -> Gen.listOf(event).map(Merge(_)),
       1 -> Gen.const(CopyOf),
       1 -> pos.map(Flip(_)),
-      1 -> (for { p <- pos; b <- Gen.oneOf(0, 1) } yield SetBit(p, b)),
       1 -> Gen.listOf(pos).map(Xor(_)),
       6 -> (for { u <- user; v <- user } yield Query(u, v)),
     )
@@ -266,7 +265,6 @@ class VOSSketchSpec extends AnyFunSuite {
           val o = new VOSSketch(Q); es.foreach { case (u, i, a) => o.update(u, i, a) }; s.merge(o)
         case CopyOf          => s = s.copyOf()
         case Flip(p)         => s.array.flip(p)
-        case SetBit(p, b)    => s.array.set(p, b)
         case Xor(ps) =>
           val o = new BitArray(Q.m); ps.foreach(o.flip); s.array.xorInPlace(o)
         case Query(u, v) =>
@@ -387,8 +385,7 @@ class VOSSketchSpec extends AnyFunSuite {
       for { u <- user; v <- user } yield Query(u, v),
       user.map(Rebuild(_)), Gen.listOf(event).map(Merge(_)), Gen.listOf(event).map(MergeInto(_)),
       Gen.const(CopyOf), Gen.const(Health), Gen.const(Assemble), Gen.const(Checks),
-      pos.map(Flip(_)), for { p <- pos; b <- Gen.oneOf(0, 1) } yield SetBit(p, b),
-      Gen.listOf(pos).map(Xor(_)),
+      pos.map(Flip(_)), Gen.listOf(pos).map(Xor(_)),
     )
     val gen = for {
       n      <- Gen.oneOf(BlockLengths)
@@ -434,7 +431,6 @@ class VOSSketchSpec extends AnyFunSuite {
           ok &&= s.array == twin.array && s.array.hammingDistance(twin.array) == 0 &&
             o.counts.keys.forall(u => s.cardinality(u) == twin.cardinality(u))
         case Flip(p)      => s.array.flip(p); flipBoth(p)
-        case SetBit(p, b) => s.array.set(p, b); if (o.bits(p) != (b == 1)) flipBoth(p)
         case Xor(ps) =>
           val x = new BitArray(Q.m); ps.foreach(x.flip); s.array.xorInPlace(x)
           (0 until Q.m).filter(x.get(_) == 1).foreach(flipBoth)
@@ -485,7 +481,6 @@ object VOSSketchSpec {
   private final case class Merge(events: List[(Long, Long, Boolean)]) extends Op
   private case object CopyOf extends Op
   private final case class Flip(pos: Int) extends Op
-  private final case class SetBit(pos: Int, bit: Int) extends Op
   private final case class Xor(positions: List[Int]) extends Op
   private final case class Query(u: Long, v: Long) extends Op
   private case object Beta extends Op

@@ -2,7 +2,8 @@ package repro.eval
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.baselines.ExactSim
-import repro.stream.{DatasetSpec, DynamicStreamGen}
+import repro.core.VOSSketch
+import repro.stream.{DatasetSpec, DynamicStreamGen, EdgeEvent}
 
 class HarnessSpec extends AnyFunSuite {
 
@@ -10,6 +11,7 @@ class HarnessSpec extends AnyFunSuite {
   private val cfg  = EvalConfig(kBaseline = 32, topUsers = 40, maxPairs = 80, checkpoints = 4)
 
   private lazy val prep = Harness.prepare(spec, cfg)
+  private lazy val rows = Harness.evaluate(spec, cfg)
 
   test("prepare produces a feasible stream") {
     assert(DynamicStreamGen.assertFeasible(prep.stream) == prep.stream.length)
@@ -39,20 +41,26 @@ class HarnessSpec extends AnyFunSuite {
     }
   }
 
-  test("numUsers counts distinct stream users") {
-    assert(prep.numUsers == prep.stream.map(_.user).distinct.size)
+  test("topUsers takes the largest final sets, ties by the smaller id") {
+    val e = new ExactSim
+    Seq((5L, 1L), (5L, 2L), (3L, 1L), (9L, 1L), (1L, 7L)).zipWithIndex.foreach { case ((u, i), t) =>
+      e.update(EdgeEvent(u, i, insert = true, t + 1L))
+    }
+    assert(Harness.topUsers(e, 3) == Seq(5L, 1L, 3L))
   }
 
   test("methods builds the paper's four sketches with memory parity") {
-    val ms = Harness.methods(cfg, prep.numUsers)
+    val roster = Harness.methods(cfg, VOSSketch.paperM(cfg.kBaseline, spec.numUsers))
+    val ms     = roster.map(_())
     assert(ms.map(_.name) == Seq("VOS", "MinHash", "OPH", "RP"))
-    val vos = ms.head.asInstanceOf[repro.core.VOSSketch]
-    assert(vos.hashes.m == 32 * cfg.kBaseline * prep.numUsers)
+    val vos = ms.head.asInstanceOf[VOSSketch]
+    assert(vos.hashes.m == 32 * cfg.kBaseline * spec.numUsers)
     assert(vos.hashes.k == cfg.lambda * 32 * cfg.kBaseline)
+    assert(vos.hashes == VOSSketch.paperConfig(cfg.kBaseline, spec.numUsers, cfg.lambda, cfg.seed))
+    assert(roster.map(_()).zip(ms).forall { case (a, b) => a ne b }, "factories must build fresh sketches")
   }
 
   test("runAccuracy emits one row per method per checkpoint") {
-    val rows = Harness.runAccuracy(prep, cfg, Harness.methods(cfg, prep.numUsers))
     assert(rows.size == 4 * cfg.checkpoints)
     assert(rows.map(_.method).distinct.toSet == Set("VOS", "MinHash", "OPH", "RP"))
     assert(rows.map(_.checkpoint).distinct.sorted == (1 to cfg.checkpoints))
@@ -64,7 +72,6 @@ class HarnessSpec extends AnyFunSuite {
   }
 
   test("checkpoint times are increasing and end at the stream end") {
-    val rows = Harness.runAccuracy(prep, cfg, Harness.methods(cfg, prep.numUsers))
     val times = rows.filter(_.method == "VOS").sortBy(_.checkpoint).map(_.time)
     times.sliding(2).foreach { case Seq(a, b) => assert(a < b); case _ => () }
     assert(times.last == prep.stream.length.toLong)
@@ -93,9 +100,7 @@ class HarnessSpec extends AnyFunSuite {
     // the paper evaluates (set size ≫ k); with near-singleton bins OPH's
     // bias vanishes and the comparison is vacuous.
     val churnCfg = cfg.copy(kBaseline = 32, d = 0.9, r = 0.9, checkpoints = 2)
-    val churnPrep = Harness.prepare(spec, churnCfg)
-    val rows = Harness.runAccuracy(churnPrep, churnCfg, Harness.methods(churnCfg, churnPrep.numUsers))
-    val last = rows.filter(_.checkpoint == churnCfg.checkpoints)
+    val last = Harness.evaluate(spec, churnCfg).filter(_.checkpoint == churnCfg.checkpoints)
     def of(m: String) = last.find(_.method == m).get
     assert(of("VOS").aape < of("MinHash").aape,
       s"VOS ${of("VOS").aape} !< MinHash ${of("MinHash").aape}")
@@ -103,5 +108,15 @@ class HarnessSpec extends AnyFunSuite {
       s"VOS ${of("VOS").aape} !< OPH ${of("OPH").aape}")
     assert(of("VOS").armse < of("MinHash").armse,
       s"VOS ${of("VOS").armse} !< MinHash ${of("MinHash").armse}")
+  }
+
+  test("accuracyAllDatasets' one checkpoint equals the last of ten") {
+    val specs = DatasetSpec.all.map(DatasetSpec.scaled(_, 0.05))
+    val ten   = cfg.copy(checkpoints = 10)
+    def key(r: AccuracyRow) = (r.dataset, r.method, r.time, r.aape, r.armse, r.pairsUsed)
+    val last = specs.flatMap(Harness.evaluate(_, ten).filter(_.checkpoint == 10))
+    val one  = BenchTables.accuracyAllDatasets(specs, ten)
+    assert(one.map(_.checkpoint).distinct == Seq(1))
+    assert(one.map(key) == last.map(key))
   }
 }

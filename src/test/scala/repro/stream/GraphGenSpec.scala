@@ -87,6 +87,19 @@ class GraphGenSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](DatasetSpec.scaled(DatasetSpec.youtube, 0.0))
   }
 
+  test("every user has a base edge, so a stream's distinct users are numUsers") {
+    // A tiny spec where almost every user's Zipf share of the edges rounds
+    // to 0 and at most one item fits per user.
+    val tiny = DatasetSpec("tiny", numUsers = 30, numItems = 2, baseEdges = 1,
+      alphaUser = 3.0, alphaItem = 3.0, seed = 7L)
+    (tiny +: spec +: DatasetSpec.all.map(DatasetSpec.scaled(_, 0.1))).foreach { s =>
+      val base = GraphGen.baseEdges(s)
+      assert(base.map(_._1).distinct.sorted == (0L until s.numUsers.toLong), s.name)
+      val stream = DynamicStreamGen.generate(base, d = 0.9, r = 0.9, seed = s.seed)
+      assert(stream.map(_.user).distinct.size == s.numUsers, s.name)
+    }
+  }
+
   test("the four presets generate non-trivially") {
     DatasetSpec.all.foreach { full =>
       val small = DatasetSpec.scaled(full, 0.05)
