@@ -33,10 +33,6 @@ final class ExactSim extends SimilaritySketch {
   override def cardinality(user: Long): Long =
     sets.get(user).map(_.size.toLong).getOrElse(0L)
 
-  /** Current item set of a user (empty if none). */
-  def itemsOf(user: Long): Set[Long] =
-    sets.get(user).map(_.toSet).getOrElse(Set.empty)
-
   /** Exact s_{u,v} = |S_u ∩ S_v|, iterating the smaller set. */
   def commonItems(u: Long, v: Long): Long = {
     (sets.get(u), sets.get(v)) match {

@@ -13,7 +13,7 @@ import java.util.function.IntSupplier
   * surrogate) and reduced ranges behave as uniform random functions.
   *
   * Everything is a pure function of (key, seed), so sequential, batch
-  * (Aggregator) and streaming builds of a sketch agree bit-for-bit.
+  * (`VOSAggregator`) and streaming builds of a sketch agree bit-for-bit.
   */
 object Hashing {
 

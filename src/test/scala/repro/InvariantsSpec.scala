@@ -39,12 +39,11 @@ class InvariantsSpec extends AnyFunSuite {
 
   test("MinHash registers only ever hold currently-present items") {
     check(Prop.forAll(streamGen) { events =>
-      val exact = new ExactSim
       val mh = new MinHashDyn(16)
-      events.forall { e =>
-        exact.update(e); mh.update(e)
+      events.lazyZip(TestStreams.prefixSets(events)).forall { (e, sets) =>
+        mh.update(e)
         (0L until 8L).forall { u =>
-          val present = exact.itemsOf(u)
+          val present = sets(u)
           mh.registers(u).forall(r => r == Registers.Empty || present.contains(r))
         }
       }
@@ -53,12 +52,11 @@ class InvariantsSpec extends AnyFunSuite {
 
   test("OPH registers only ever hold currently-present items, in their own bin") {
     check(Prop.forAll(streamGen) { events =>
-      val exact = new ExactSim
       val oph = new OPHDyn(16)
-      events.forall { e =>
-        exact.update(e); oph.update(e)
+      events.lazyZip(TestStreams.prefixSets(events)).forall { (e, sets) =>
+        oph.update(e)
         (0L until 8L).forall { u =>
-          val present = exact.itemsOf(u)
+          val present = sets(u)
           oph.registers(u).zipWithIndex.forall { case (r, j) =>
             r == Registers.Empty || (present.contains(r) && oph.bin(r) == j)
           }
@@ -69,12 +67,11 @@ class InvariantsSpec extends AnyFunSuite {
 
   test("RP samples only ever hold currently-present items") {
     check(Prop.forAll(streamGen) { events =>
-      val exact = new ExactSim
       val rp = new RandomPairing(8)
-      events.forall { e =>
-        exact.update(e); rp.update(e)
+      events.lazyZip(TestStreams.prefixSets(events)).forall { (e, sets) =>
+        rp.update(e)
         (0L until 8L).forall { u =>
-          val present = exact.itemsOf(u)
+          val present = sets(u)
           rp.samples(u).forall(s => s == Registers.Empty || present.contains(s))
         }
       }
@@ -93,16 +90,12 @@ class InvariantsSpec extends AnyFunSuite {
 
   test("VOS array equals XOR-scatter of exact final sets (ground-truth model)") {
     // The virtual odd sketch is fully determined by the *final* sets:
-    // rebuild A directly from ExactSim and compare.
+    // rebuild A directly from them and compare.
     check(Prop.forAll(streamGen) { events =>
       val h = VOSHashes(32, 2048, 3)
-      val vos = new VOSSketch(h)
-      val exact = new ExactSim
-      events.foreach { e => vos.update(e); exact.update(e) }
+      val vos = VOSSketch.build(h, events)
       val rebuilt = new repro.core.BitArray(h.m)
-      (0L until 8L).foreach { u =>
-        exact.itemsOf(u).foreach(i => rebuilt.flip(h.position(u, i)))
-      }
+      for ((u, items) <- TestStreams.finalSets(events); i <- items) rebuilt.flip(h.position(u, i))
       rebuilt == vos.array
     })
   }

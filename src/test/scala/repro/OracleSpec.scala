@@ -13,18 +13,19 @@ import repro.stream.{DatasetSpec, DynamicStreamGen, GraphGen}
   */
 class OracleSpec extends SparkSpec {
 
+  private lazy val events = TestStreams.random(numUsers = 12, numItems = 25, length = 600, seed = 7)
+
   /** Small feasible stream as a DataFrame with columns (u, i, a, t). */
   private lazy val eventsDf: DataFrame = {
     val s = spark
     import s.implicits._
-    val events = TestStreams.random(numUsers = 12, numItems = 25, length = 600, seed = 7)
     events.map(e => (e.user, e.item, if (e.insert) "+" else "-", e.time))
       .toDF("u", "i", "a", "t")
   }
 
   private lazy val exact: ExactSim = {
     val ex = new ExactSim
-    TestStreams.random(numUsers = 12, numItems = 25, length = 600, seed = 7).foreach(ex.update)
+    events.foreach(ex.update)
     ex
   }
 
@@ -49,8 +50,10 @@ class OracleSpec extends SparkSpec {
       .collect()
       .map(r => (r.getLong(0), r.getLong(1)))
       .toSet
-    val expected = exact.users.flatMap(u => exact.itemsOf(u).map(i => (u, i))).toSet
-    assert(cur == expected)
+    val sets = TestStreams.finalSets(events)
+    assert(cur == (for ((u, items) <- sets.toSeq; i <- items) yield (u, i)).toSet)
+    assert(exact.users.toSet == sets.keySet)
+    sets.foreach { case (u, items) => assert(exact.cardinality(u) == items.size, s"user $u") }
   }
 
   test("per-user cardinalities match DuckDB") {

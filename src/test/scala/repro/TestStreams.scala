@@ -75,4 +75,22 @@ object TestStreams {
     churn.foreach { i => evs += EdgeEvent(u, i, insert = false, t); t += 1 }
     evs.toIndexedSeq
   }
+
+  private val NoSets = Map.empty[Long, Set[Long]].withDefaultValue(Set.empty[Long])
+
+  private def applied(sets: Map[Long, Set[Long]], e: EdgeEvent): Map[Long, Set[Long]] = {
+    val s = if (e.insert) sets(e.user) + e.item else sets(e.user) - e.item
+    if (s.isEmpty) sets - e.user else sets.updated(e.user, s)
+  }
+
+  /** Each user's item set once every event of `events` is applied: the
+    * users with at least one item are the keys, and any other user maps
+    * to the empty set.
+    */
+  def finalSets(events: Seq[EdgeEvent]): Map[Long, Set[Long]] = events.foldLeft(NoSets)(applied)
+
+  /** [[finalSets]] after each prefix of `events`: element t holds the sets
+    * once events 0..t are applied.
+    */
+  def prefixSets(events: Seq[EdgeEvent]): Seq[Map[Long, Set[Long]]] = events.scanLeft(NoSets)(applied).tail
 }

@@ -11,7 +11,7 @@ class ExactSimSpec extends AnyFunSuite {
     assert(e.cardinality(1L) == 0)
     assert(e.commonItems(1L, 2L) == 0)
     assert(e.jaccard(1L, 2L) == 0.0)
-    assert(e.itemsOf(1L).isEmpty)
+    assert(e.users.isEmpty)
   }
 
   test("inserts accumulate; deletes remove") {
@@ -19,8 +19,11 @@ class ExactSimSpec extends AnyFunSuite {
     e.update(EdgeEvent(1L, 10L, insert = true, 1))
     e.update(EdgeEvent(1L, 11L, insert = true, 2))
     e.update(EdgeEvent(1L, 10L, insert = false, 3))
-    assert(e.itemsOf(1L) == Set(11L))
+    // Users 2 and 3 hold the kept and the deleted item.
+    e.update(EdgeEvent(2L, 11L, insert = true, 4))
+    e.update(EdgeEvent(3L, 10L, insert = true, 5))
     assert(e.cardinality(1L) == 1)
+    assert(e.commonItems(1L, 2L) == 1 && e.commonItems(1L, 3L) == 0)
   }
 
   test("duplicate insert rejected (feasibility guard)") {
@@ -62,12 +65,9 @@ class ExactSimSpec extends AnyFunSuite {
     val events = TestStreams.random(10, 30, 500, seed = 42)
     val e = new ExactSim
     events.foreach(e.update)
-    // Brute force: fold the event log into sets.
-    val sets = scala.collection.mutable.Map.empty[Long, Set[Long]].withDefaultValue(Set.empty)
-    events.foreach { ev =>
-      sets(ev.user) = if (ev.insert) sets(ev.user) + ev.item else sets(ev.user) - ev.item
-    }
-    for (u <- 0L until 10L) assert(e.itemsOf(u) == sets(u), s"user $u")
+    val sets = TestStreams.finalSets(events)
+    assert(e.users.toSet == sets.keySet)
+    for (u <- 0L until 10L) assert(e.cardinality(u) == sets(u).size.toLong, s"user $u")
     for (u <- 0L until 10L; v <- 0L until 10L)
       assert(e.commonItems(u, v) == (sets(u) & sets(v)).size.toLong)
   }

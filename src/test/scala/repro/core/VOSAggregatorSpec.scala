@@ -52,8 +52,12 @@ class VOSAggregatorSpec extends SparkSpec {
   test("empty input yields an empty sketch") {
     val s = spark
     import s.implicits._
-    val dist = VOSAggregator.build(spark.emptyDataset[EdgeEvent], H)
-    assert(dist.array.onesCount == 0 && dist.numUsers == 0)
+    // No partitions at all, and four partitions that are all empty.
+    Seq(spark.emptyDataset[EdgeEvent], spark.createDataset(Seq.empty[EdgeEvent]).repartition(4))
+      .foreach { events =>
+        val dist = VOSAggregator.build(events, H)
+        assert(dist.array.onesCount == 0 && dist.numUsers == 0)
+      }
   }
 
   test("insert/delete churn cancels in the distributed build too") {
@@ -76,14 +80,25 @@ class VOSAggregatorSpec extends SparkSpec {
     assert(dist.array == seq.array && dist.nU == seq.nU)
   }
 
-  test("the Kryo buffer check accepts youtube-lite and rejects paper scale at 64m") {
-    val maxBytes = 64L << 20
-    VOSAggregator.requireFitsKryoBuffer(VOSSketch.paperConfig(100, 4000), maxBytes)
+  test("partials larger than 64 MiB build bit-identically on default settings") {
+    // 72 MiB of array words per partial: past Kryo's default 64m buffer
+    // cap, which the partials' path does not go through.
+    val big    = VOSHashes(k = 64, m = (1 << 29) + (1 << 26), seed = 17)
+    val events = TestStreams.random(50, 200, 3000, seed = 25)
+    val seq    = VOSSketch.build(big, events)
+    val dist   = VOSAggregator.build(ds(events, 2), big)
+    assert(dist.array == seq.array && dist.nU == seq.nU)
+  }
+
+  test("the result size check accepts youtube-lite and rejects paper scale at 16 partitions under 1g") {
+    val maxBytes = 1L << 30
+    VOSAggregator.requireFitsResultSize(VOSSketch.paperConfig(100, 4000), 4, maxBytes)
     val paper = VOSSketch.paperConfig(100, 300000)
-    assert(VOSAggregator.minSerializedBytes(paper) >= paper.m / 8)
-    val e = intercept[IllegalArgumentException](VOSAggregator.requireFitsKryoBuffer(paper, maxBytes))
-    assert(e.getMessage.contains(VOSAggregator.KryoBufferMax))
-    assert(e.getMessage.contains("at least 115m"))
-    VOSAggregator.requireFitsKryoBuffer(paper, 115L << 20)
+    VOSAggregator.requireFitsResultSize(paper, 4, maxBytes)
+    val e = intercept[IllegalArgumentException](VOSAggregator.requireFitsResultSize(paper, 16, maxBytes))
+    assert(e.getMessage.contains(VOSAggregator.MaxResultSize))
+    assert(e.getMessage.contains("at least 1832m"))
+    VOSAggregator.requireFitsResultSize(paper, 16, 1832L << 20)
+    VOSAggregator.requireFitsResultSize(paper, 16, 0L)
   }
 }

@@ -37,9 +37,7 @@ class DynamicStreamGenSpec extends AnyFunSuite {
   test("d = 1, r = 1 re-inserts every edge (final state = base edges)") {
     val s = DynamicStreamGen.generate(edges, d = 1.0, r = 1.0, seed = 4)
     assert(s.length == 3 * edges.length)
-    val exact = new repro.baselines.ExactSim
-    s.foreach(exact.update)
-    val finalEdges = (for (u <- exact.users; i <- exact.itemsOf(u)) yield (u, i)).toSet
+    val finalEdges = (for ((u, items) <- repro.TestStreams.finalSets(s).toSeq; i <- items) yield (u, i)).toSet
     assert(finalEdges == edges.toSet)
   }
 
