@@ -30,8 +30,9 @@ object StreamingDemoJob {
     val top = Harness.topUsers(exact, 6)
     println(f"${"pair"}%-16s ${"s_true"}%8s ${"s_hat"}%10s ${"J_true"}%8s ${"J_hat"}%8s")
     for (Seq(u, v) <- top.combinations(2).take(10)) {
+      val (s, j)       = exact.estimatePair(u, v)
       val (sHat, jHat) = sketch.estimatePair(u, v)
-      println(f"($u%5d,$v%5d)    ${exact.commonItems(u, v)}%8d $sHat%10.2f ${exact.jaccard(u, v)}%8.4f $jHat%8.4f")
+      println(f"($u%5d,$v%5d)    $s%8.0f $sHat%10.2f $j%8.4f $jHat%8.4f")
     }
     println(s"beta=${sketch.beta}  users=${sketch.numUsers}  events=${stream.length}")
     spark.stop()

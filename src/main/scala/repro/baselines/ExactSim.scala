@@ -46,14 +46,14 @@ final class ExactSim extends SimilaritySketch {
   }
 
   /** Exact Jaccard coefficient. */
-  def jaccard(u: Long, v: Long): Double = {
+  def jaccard(u: Long, v: Long): Double = estimatePair(u, v)._2
+
+  /** Exact (s_{u,v}, J), intersecting the two sets once. */
+  override def estimatePair(u: Long, v: Long): (Double, Double) = {
     val s     = commonItems(u, v).toDouble
     val union = cardinality(u) + cardinality(v) - s
-    if (union == 0) 0.0 else s / union
+    (s, if (union == 0) 0.0 else s / union)
   }
-
-  override def estimatePair(u: Long, v: Long): (Double, Double) =
-    (commonItems(u, v).toDouble, jaccard(u, v))
 
   /** All users currently holding at least one item. */
   def users: Iterable[Long] = sets.keys

@@ -211,12 +211,18 @@ object VOSSketch {
     sketch
   }
 
+  /** The paper's sketch-size multiplier λ (§ V). */
+  final val Lambda = 2
+
   /** The paper's equal-memory configuration: baselines get k registers of
     * 32 bits per user, so the shared array has `m = 32·k·numUsers` bits and
-    * VOS's virtual sketch has `k_vos = λ·32·k` bits.
+    * VOS's virtual sketch has [[paperK]] bits.
     */
-  def paperConfig(kBaseline: Int, numUsers: Int, lambda: Int = 2, seed: Long = 42L): VOSHashes =
-    VOSHashes(k = lambda * 32 * kBaseline, m = paperM(kBaseline, numUsers), seed = seed)
+  def paperConfig(kBaseline: Int, numUsers: Int, seed: Long = 42L): VOSHashes =
+    VOSHashes(k = paperK(kBaseline), m = paperM(kBaseline, numUsers), seed = seed)
+
+  /** The virtual-sketch bits of [[paperConfig]]: `k_vos = λ·32·k`. */
+  def paperK(kBaseline: Int): Int = Lambda * 32 * kBaseline
 
   /** The shared-array bits of [[paperConfig]]: `m = 32·k·numUsers`. */
   def paperM(kBaseline: Int, numUsers: Int): Int = {

@@ -7,23 +7,19 @@ import repro.stream.{DatasetSpec, DynamicStreamGen, EdgeEvent, GraphGen}
 
 /** Evaluation configuration mirroring the paper's § V setup.
   *
-  * @param kBaseline   registers per user for MinHash/OPH/RP (paper: k=100)
-  * @param lambda      VOS sketch-size multiplier (paper: λ=2 → k_vos = 64·k)
+  * @param kBaseline   registers per user for MinHash/OPH/RP (paper: k=100);
+  *                    VOS gets `k_vos = λ·32·k` ([[VOSSketch.paperK]])
   * @param topUsers    number of largest-cardinality users tracked
   *                    (paper: 5000 out of millions; 150 here, where every
   *                    tracked user still holds hundreds of items)
-  * @param maxPairs    cap on tracked pairs (seeded sample) to bound
-  *                    checkpoint cost
   * @param checkpoints number of evenly spaced evaluation times
   * @param d           deletion probability of the stream generator
   * @param r           re-subscription probability
-  * @param seed        seed for stream scheduling, pair sampling, sketches
+  * @param seed        seed for stream scheduling and sketches
   */
 final case class EvalConfig(
     kBaseline: Int = 100,
-    lambda: Int = 2,
     topUsers: Int = 150,
-    maxPairs: Int = 1000,
     checkpoints: Int = 10,
     d: Double = 0.5,
     r: Double = 0.5,
@@ -63,24 +59,15 @@ object Harness {
     val base   = GraphGen.baseEdges(spec)
     val stream = DynamicStreamGen.generate(base, cfg.d, cfg.r, cfg.seed ^ spec.seed)
 
-    // Final sets → top users → candidate pairs with ≥1 common item.
+    // Final sets → top users → every pair of them with ≥1 common item.
     val finalSets = new ExactSim
     stream.foreach(finalSets.update)
     val top = topUsers(finalSets, cfg.topUsers)
-    val all = for {
+    val pairs = for {
       i <- top.indices
       j <- i + 1 until top.length
       if finalSets.commonItems(top(i), top(j)) > 0
     } yield (top(i), top(j))
-    val pairs =
-      if (all.length <= cfg.maxPairs) all
-      else {
-        val rng = new java.util.SplittableRandom(cfg.seed ^ spec.seed ^ 0x9e37L)
-        val idx = Array.tabulate(all.length)(identity)
-        var t = idx.length - 1
-        while (t > 0) { val s = rng.nextInt(t + 1); val tmp = idx(t); idx(t) = idx(s); idx(s) = tmp; t -= 1 }
-        IndexedSeq.tabulate(cfg.maxPairs)(p => all(idx(p)))
-      }
     PreparedDataset(spec, stream, pairs)
   }
 
@@ -92,11 +79,12 @@ object Harness {
 
   /** The four methods under test, in table order, as factories of fresh
     * sketches at the paper's memory parity: MinHash/OPH/RP get `kBaseline`
-    * 32-bit registers per user; VOS gets `k_vos = λ·32·k` and `m` shared
-    * bits, which the paper sets to `32·k·|U|` ([[VOSSketch.paperM]]).
+    * 32-bit registers per user; VOS gets `k_vos = λ·32·k`
+    * ([[VOSSketch.paperK]]) and `m` shared bits, which the paper sets to
+    * `32·k·|U|` ([[VOSSketch.paperM]]).
     */
   def methods(cfg: EvalConfig, m: Int): Seq[() => SimilaritySketch] = Seq(
-    () => new VOSSketch(VOSHashes(cfg.lambda * 32 * cfg.kBaseline, m, cfg.seed)),
+    () => new VOSSketch(VOSHashes(VOSSketch.paperK(cfg.kBaseline), m, cfg.seed)),
     () => new MinHashDyn(cfg.kBaseline, cfg.seed + 1),
     () => new OPHDyn(cfg.kBaseline, cfg.seed + 2),
     () => new RandomPairing(cfg.kBaseline, cfg.seed + 3),
@@ -121,9 +109,7 @@ object Harness {
       exact.update(e)
       sketches.foreach(_.update(e))
       while (next < checkpointTimes.length && e.time == checkpointTimes(next)) {
-        val truth = prep.pairs.map { case (u, v) =>
-          (exact.commonItems(u, v).toDouble, exact.jaccard(u, v))
-        }
+        val truth = prep.pairs.map { case (u, v) => exact.estimatePair(u, v) }
         sketches.foreach { sk =>
           val est = prep.pairs.map { case (u, v) => sk.estimatePair(u, v) }
           val sPairs = truth.zip(est).map { case ((s, _), (sHat, _)) => (s, sHat) }

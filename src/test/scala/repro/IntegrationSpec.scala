@@ -46,7 +46,7 @@ class IntegrationSpec extends SparkSpec {
   test("deletion bias shows up in MinHash/OPH but not VOS on churn-heavy stream") {
     // Heavy churn: d = 0.9, r = 0.9 → many delete+reinsert cycles, where
     // the sampling bias the paper identifies dominates the error.
-    val cfg = EvalConfig(kBaseline = 32, topUsers = 30, maxPairs = 60, checkpoints = 2, d = 0.9, r = 0.9)
+    val cfg = EvalConfig(kBaseline = 32, topUsers = 30, checkpoints = 2, d = 0.9, r = 0.9)
     val last = Harness.evaluate(spec, cfg).filter(_.checkpoint == 2)
     def aape(m: String) = last.find(_.method == m).get.aape
     assert(aape("VOS") < aape("MinHash"), s"VOS ${aape("VOS")} vs MinHash ${aape("MinHash")}")
@@ -63,7 +63,7 @@ class IntegrationSpec extends SparkSpec {
 
   test("accuracy table producers render all datasets (scaled)") {
     val tiny = DatasetSpec.all.map(DatasetSpec.scaled(_, 0.02))
-    val cfg  = EvalConfig(kBaseline = 16, topUsers = 15, maxPairs = 20, checkpoints = 2)
+    val cfg  = EvalConfig(kBaseline = 16, topUsers = 15, checkpoints = 2)
     val rows = BenchTables.accuracyAllDatasets(tiny, cfg)
     assert(rows.map(_.dataset).distinct.size == 4)
     assert(rows.size == 4 * 4) // 4 datasets × 4 methods at the last checkpoint
@@ -73,7 +73,7 @@ class IntegrationSpec extends SparkSpec {
   }
 
   test("accuracy-over-time producer covers every checkpoint") {
-    val cfg = EvalConfig(kBaseline = 16, topUsers = 15, maxPairs = 20, checkpoints = 3)
+    val cfg = EvalConfig(kBaseline = 16, topUsers = 15, checkpoints = 3)
     val rows = Harness.evaluate(DatasetSpec.scaled(DatasetSpec.youtube, 0.03), cfg)
     assert(rows.map(_.checkpoint).distinct.sorted == Seq(1, 2, 3))
     val t3 = BenchTables.renderAccuracyOverTime(rows, "AAPE", "smoke T3")

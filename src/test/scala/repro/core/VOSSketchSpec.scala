@@ -197,7 +197,7 @@ class VOSSketchSpec extends AnyFunSuite {
   }
 
   test("paperConfig computes m = 32·k·|U| and k_vos = λ·32·k") {
-    val h = VOSSketch.paperConfig(kBaseline = 100, numUsers = 50, lambda = 2, seed = 1)
+    val h = VOSSketch.paperConfig(kBaseline = 100, numUsers = 50, seed = 1)
     assert(h.m == 32 * 100 * 50)
     assert(h.k == 2 * 32 * 100)
   }

@@ -8,7 +8,7 @@ import repro.stream.{DatasetSpec, DynamicStreamGen, EdgeEvent}
 class HarnessSpec extends AnyFunSuite {
 
   private val spec = DatasetSpec.scaled(DatasetSpec.youtube, 0.05)
-  private val cfg  = EvalConfig(kBaseline = 32, topUsers = 40, maxPairs = 80, checkpoints = 4)
+  private val cfg  = EvalConfig(kBaseline = 32, topUsers = 40, checkpoints = 4)
 
   private lazy val prep = Harness.prepare(spec, cfg)
   private lazy val rows = Harness.evaluate(spec, cfg)
@@ -25,9 +25,12 @@ class HarnessSpec extends AnyFunSuite {
     }
   }
 
-  test("pairs are within the cap and distinct") {
-    assert(prep.pairs.length <= cfg.maxPairs)
-    assert(prep.pairs.distinct.length == prep.pairs.length)
+  test("pairs are every pair of the tracked users that shares a final item, in order") {
+    val exact = new ExactSim
+    prep.stream.foreach(exact.update)
+    val top = Harness.topUsers(exact, cfg.topUsers)
+    val all = for (i <- top.indices; j <- i + 1 until top.length) yield (top(i), top(j))
+    assert(prep.pairs == all.filter { case (u, v) => exact.commonItems(u, v) > 0 })
     assert(prep.pairs.nonEmpty)
   }
 
@@ -55,8 +58,9 @@ class HarnessSpec extends AnyFunSuite {
     assert(ms.map(_.name) == Seq("VOS", "MinHash", "OPH", "RP"))
     val vos = ms.head.asInstanceOf[VOSSketch]
     assert(vos.hashes.m == 32 * cfg.kBaseline * spec.numUsers)
-    assert(vos.hashes.k == cfg.lambda * 32 * cfg.kBaseline)
-    assert(vos.hashes == VOSSketch.paperConfig(cfg.kBaseline, spec.numUsers, cfg.lambda, cfg.seed))
+    assert(VOSSketch.Lambda == 2)
+    assert(vos.hashes.k == VOSSketch.Lambda * 32 * cfg.kBaseline)
+    assert(vos.hashes == VOSSketch.paperConfig(cfg.kBaseline, spec.numUsers, cfg.seed))
     assert(roster.map(_()).zip(ms).forall { case (a, b) => a ne b }, "factories must build fresh sketches")
   }
 
@@ -78,8 +82,8 @@ class HarnessSpec extends AnyFunSuite {
   }
 
   test("evaluate is deterministic in config") {
-    val a = Harness.evaluate(spec, cfg.copy(kBaseline = 16, topUsers = 20, maxPairs = 30, checkpoints = 2))
-    val b = Harness.evaluate(spec, cfg.copy(kBaseline = 16, topUsers = 20, maxPairs = 30, checkpoints = 2))
+    val a = Harness.evaluate(spec, cfg.copy(kBaseline = 16, topUsers = 20, checkpoints = 2))
+    val b = Harness.evaluate(spec, cfg.copy(kBaseline = 16, topUsers = 20, checkpoints = 2))
     assert(a == b)
   }
 
