@@ -45,9 +45,6 @@ final class ExactSim extends SimilaritySketch {
     }
   }
 
-  /** Exact Jaccard coefficient. */
-  def jaccard(u: Long, v: Long): Double = estimatePair(u, v)._2
-
   /** Exact (s_{u,v}, J), intersecting the two sets once. */
   override def estimatePair(u: Long, v: Long): (Double, Double) = {
     val s     = commonItems(u, v).toDouble

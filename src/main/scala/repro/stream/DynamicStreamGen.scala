@@ -32,96 +32,155 @@ object DynamicStreamGen {
     * @param seed  scheduling seed
     */
   def generate(
-      edges: IndexedSeq[(Long, Long)],
+      edges: Edges,
       d: Double = 0.5,
       r: Double = 0.5,
       seed: Long = 1234L,
-  ): IndexedSeq[EdgeEvent] = {
+  ): IndexedSeq[EdgeEvent] =
+    generateInChunks(edges, d, r, seed, chunkCount(edges.length))
+
+  /** [[generate]], sorting and building the events in `chunks` pieces;
+    * every chunk count gives the same stream.
+    */
+  private[stream] def generateInChunks(edges: Edges, d: Double, r: Double, seed: Long, chunks: Int): IndexedSeq[EdgeEvent] = {
     require(d >= 0 && d <= 1, s"d out of [0,1]: $d")
     require(r >= 0 && r <= 1, s"r out of [0,1]: $r")
-    require(edges.size < (1 << 30), s"too many edges: ${edges.size}")
-    val rng   = new java.util.SplittableRandom(seed)
-    val users = new Array[Long](edges.size)
-    val items = new Array[Long](edges.size)
+    require(edges.length <= Int.MaxValue / 3, s"too many edges: ${edges.length}")
+    val rng = new java.util.SplittableRandom(seed)
 
     // Per action, in generation order: its virtual timestamp's bits (a
     // non-negative double's bits order like the double) and its edge index
     // times 2, plus 1 for a deletion (actions alternate ins, del, ins).
-    var stamps  = new Array[Long](edges.size + edges.size / 2 + 3)
-    var actions = new Array[Int](stamps.length)
+    val stamps  = new Array[Long](3 * edges.length)
+    val actions = new Array[Int](stamps.length)
     var n = 0
     var e = 0
-    edges.foreach { case (u, i) =>
-      users(e) = u
-      items(e) = i
+    while (e < edges.length) {
       val nActs =
         if (rng.nextDouble() >= d) 1
         else if (rng.nextDouble() >= r) 2
         else 3
-      // Sort the 1–3 timestamps; an absent one reads 1.0 and stays last.
-      var t0 = rng.nextDouble()
-      var t1 = if (nActs > 1) rng.nextDouble() else 1.0
-      var t2 = if (nActs > 2) rng.nextDouble() else 1.0
-      if (t1 < t0) { val t = t0; t0 = t1; t1 = t }
-      if (t2 < t1) { val t = t1; t1 = t2; t2 = t }
-      if (t1 < t0) { val t = t0; t0 = t1; t1 = t }
-      if (n + 3 > stamps.length) {
-        stamps = java.util.Arrays.copyOf(stamps, 2 * stamps.length)
-        actions = java.util.Arrays.copyOf(actions, stamps.length)
-      }
-      stamps(n) = java.lang.Double.doubleToRawLongBits(t0)
-      stamps(n + 1) = java.lang.Double.doubleToRawLongBits(t1)
-      stamps(n + 2) = java.lang.Double.doubleToRawLongBits(t2)
-      var a = 0
-      while (a < nActs) { actions(n + a) = 2 * e + (a & 1); a += 1 }
+      // Sort the 1–3 timestamps by their bits, with no branch; an absent
+      // one reads 1.0 and stays last. All three slots are written, and
+      // those past `nActs` are the next edge's to overwrite.
+      val t0 = java.lang.Double.doubleToRawLongBits(rng.nextDouble())
+      val t1 = java.lang.Double.doubleToRawLongBits(if (nActs > 1) rng.nextDouble() else 1.0)
+      val t2 = java.lang.Double.doubleToRawLongBits(if (nActs > 2) rng.nextDouble() else 1.0)
+      val lo = math.min(t0, t1)
+      val hi = math.max(t0, t1)
+      stamps(n) = math.min(lo, t2)
+      stamps(n + 1) = math.max(lo, math.min(hi, t2))
+      stamps(n + 2) = math.max(hi, t2)
+      actions(n) = 2 * e
+      actions(n + 1) = 2 * e + 1
+      actions(n + 2) = 2 * e
       n += nActs
       e += 1
     }
 
-    val order  = sortStable(stamps, actions, n)
+    val order  = sortStable(stamps, actions, n, chunks)
     val events = new Array[EdgeEvent](n)
-    var t = 0
-    while (t < n) {
-      val a = order(t)
-      events(t) = EdgeEvent(users(a >>> 1), items(a >>> 1), (a & 1) == 0, t + 1L)
-      t += 1
+    forChunks(chunks) { c =>
+      var t = (n.toLong * c / chunks).toInt
+      val end = (n.toLong * (c + 1) / chunks).toInt
+      while (t < end) {
+        val a = order(t)
+        events(t) = EdgeEvent(edges.users(a >>> 1).toLong, edges.items(a >>> 1).toLong, (a & 1) == 0, t + 1L)
+        t += 1
+      }
     }
     scala.collection.immutable.ArraySeq.unsafeWrapArray(events)
   }
 
-  /** The first `n` values reordered by ascending key, equal keys keeping
-    * their order: an LSD radix sort over 16-bit digits of non-negative
-    * keys. Reuses `keys` and `values` as scratch.
+  /** Buckets of the timestamp sort: a key `t` goes to bucket `⌊t·2¹⁶⌋`. */
+  private val Buckets = 1 << 16
+
+  /** Fewest elements worth a chunk of their own. */
+  private val MinChunk = 1 << 18
+
+  /** Chunks for `n` elements: one per `MinChunk`, at most one per CPU and
+    * at most 8.
     */
-  private[stream] def sortStable(keys: Array[Long], values: Array[Int], n: Int): Array[Int] = {
-    var k     = keys
-    var v     = values
-    var k2    = new Array[Long](n)
-    var v2    = new Array[Int](n)
-    val start = new Array[Int](1 << 16)
-    var shift = 0
-    while (shift < 64 && n > 0) {
-      java.util.Arrays.fill(start, 0)
-      var j = 0
-      while (j < n) { start(((k(j) >>> shift) & 0xFFFF).toInt) += 1; j += 1 }
-      if (start(((k(0) >>> shift) & 0xFFFF).toInt) != n) { // else every key shares this digit
-        var sum = 0
-        var b   = 0
-        while (b < start.length) { val c = start(b); start(b) = sum; sum += c; b += 1 }
-        j = 0
-        while (j < n) {
-          val b = ((k(j) >>> shift) & 0xFFFF).toInt
-          k2(start(b)) = k(j)
-          v2(start(b)) = v(j)
-          start(b) += 1
+  private def chunkCount(n: Int): Int =
+    math.max(1, math.min(math.min(8, Runtime.getRuntime.availableProcessors), n / MinChunk))
+
+  /** Runs `body` on every chunk index below `chunks`: on the calling
+    * thread when there is one, else in parallel on the common pool.
+    */
+  private def forChunks(chunks: Int)(body: Int => Unit): Unit =
+    if (chunks == 1) body(0)
+    else java.util.stream.IntStream.range(0, chunks).parallel().forEach(c => body(c))
+
+  /** The first `n` values reordered by ascending key, equal keys keeping
+    * their order. Keys are the bits of non-negative doubles, below 1 for
+    * an even spread. One stable pass puts each element in bucket
+    * `⌊t·2¹⁶⌋` of its key `t` (the last bucket takes every `t ≥ 1`); an
+    * insertion sort then orders each bucket by the full key. The input is
+    * split into `chunks` contiguous pieces for the bucket pass and the
+    * buckets into `chunks` runs for the insertion sorts; every chunk count
+    * gives the same order.
+    */
+  private[stream] def sortStable(keys: Array[Long], values: Array[Int], n: Int, chunks: Int = 1): Array[Int] = {
+    def bucket(key: Long): Int =
+      math.min((java.lang.Double.longBitsToDouble(key) * Buckets).toInt, Buckets - 1)
+    def from(c: Int): Int = (n.toLong * c / chunks).toInt
+
+    // Each input chunk's bucket counts, then its first slot in each bucket.
+    val next = Array.ofDim[Int](chunks, Buckets)
+    forChunks(chunks) { c =>
+      val count = next(c)
+      var j = from(c)
+      while (j < from(c + 1)) { count(bucket(keys(j))) += 1; j += 1 }
+    }
+    val start = new Array[Int](Buckets + 1)
+    var sum = 0
+    var b = 0
+    while (b < Buckets) {
+      start(b) = sum
+      var c = 0
+      while (c < chunks) { val k = next(c)(b); next(c)(b) = sum; sum += k; c += 1 }
+      b += 1
+    }
+    start(Buckets) = n
+
+    val k2 = new Array[Long](n)
+    val v2 = new Array[Int](n)
+    forChunks(chunks) { c =>
+      val slot = next(c)
+      var j = from(c)
+      while (j < from(c + 1)) {
+        val b = bucket(keys(j))
+        val s = slot(b)
+        k2(s) = keys(j)
+        v2(s) = values(j)
+        slot(b) = s + 1
+        j += 1
+      }
+    }
+
+    // Runs of whole buckets, each starting at the first bucket that
+    // begins at or after its share of the output.
+    val firstBucket = Array.tabulate(chunks + 1) { c =>
+      if (c == chunks) Buckets
+      else { var b = 0; while (start(b) < from(c)) b += 1; b }
+    }
+    forChunks(chunks) { c =>
+      var b = firstBucket(c)
+      while (b < firstBucket(c + 1)) {
+        var j = start(b) + 1
+        while (j < start(b + 1)) {
+          val k = k2(j)
+          val v = v2(j)
+          var i = j - 1
+          while (i >= start(b) && k2(i) > k) { k2(i + 1) = k2(i); v2(i + 1) = v2(i); i -= 1 }
+          k2(i + 1) = k
+          v2(i + 1) = v
           j += 1
         }
-        val tk = k; k = k2; k2 = tk
-        val tv = v; v = v2; v2 = tv
+        b += 1
       }
-      shift += 16
     }
-    v
+    v2
   }
 
   /** Check stream feasibility (insert only absent, delete only present)

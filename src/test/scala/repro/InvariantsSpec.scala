@@ -124,7 +124,7 @@ class InvariantsSpec extends AnyFunSuite {
       val oph = new OPHDyn(256)
       events.foreach { e => exact.update(e); mh.update(e); oph.update(e) }
       (0L until 4L).combinations(2).forall { case Seq(u, v) =>
-        val j = exact.jaccard(u, v)
+        val j = exact.estimatePair(u, v)._2
         math.abs(mh.estimatePair(u, v)._2 - j) < 0.2 &&
           math.abs(oph.estimatePair(u, v)._2 - j) < 0.2
       }

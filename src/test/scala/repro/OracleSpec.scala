@@ -149,7 +149,7 @@ class OracleSpec extends SparkSpec {
     val s = spark
     import s.implicits._
     val spec = DatasetSpec.scaled(DatasetSpec.orkut, 0.02)
-    val edges = GraphGen.baseEdges(spec).toDF("u", "i")
+    val edges = repro.TestStreams.pairs(GraphGen.baseEdges(spec)).toDF("u", "i")
     val dupes = edges.groupBy("u", "i").agg(count(lit(1)) as "c").filter(col("c") > 1)
     assert(dupes.isEmpty)
   }

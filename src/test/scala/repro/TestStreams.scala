@@ -1,7 +1,7 @@
 package repro
 
 import scala.collection.mutable
-import repro.stream.EdgeEvent
+import repro.stream.{EdgeEvent, Edges}
 
 /** Test-only generators of feasible fully dynamic streams. */
 object TestStreams {
@@ -58,6 +58,14 @@ object TestStreams {
     }
     out.result()
   }
+
+  /** The (user, item) pairs of `edges`, in order. */
+  def pairs(edges: Edges): IndexedSeq[(Long, Long)] =
+    edges.users.indices.map(e => (edges.users(e).toLong, edges.items(e).toLong))
+
+  /** An edge list of the (user, item) pairs `ps`, in order. */
+  def edges(ps: Seq[(Long, Long)]): Edges =
+    new Edges(ps.map(_._1.toInt).toArray, ps.map(_._2.toInt).toArray)
 
   /** Insert-only stream subscribing each (user, item) pair once. */
   def insertOnly(pairs: Seq[(Long, Long)]): IndexedSeq[EdgeEvent] =

@@ -10,7 +10,7 @@ class ExactSimSpec extends AnyFunSuite {
     val e = new ExactSim
     assert(e.cardinality(1L) == 0)
     assert(e.commonItems(1L, 2L) == 0)
-    assert(e.jaccard(1L, 2L) == 0.0)
+    assert(e.estimatePair(1L, 2L)._2 == 0.0)
     assert(e.users.isEmpty)
   }
 
@@ -42,7 +42,7 @@ class ExactSimSpec extends AnyFunSuite {
     (0L until 10L).foreach(i => e.update(EdgeEvent(1L, i, insert = true, i + 1)))
     (5L until 15L).foreach(i => e.update(EdgeEvent(2L, i, insert = true, i + 100)))
     assert(e.commonItems(1L, 2L) == 5)
-    assert(e.jaccard(1L, 2L) == 5.0 / 15.0)
+    assert(e.estimatePair(1L, 2L)._2 == 5.0 / 15.0)
     assert(e.commonItems(2L, 1L) == 5) // symmetric
   }
 
@@ -74,7 +74,7 @@ class ExactSimSpec extends AnyFunSuite {
 
   test("jaccard of two empty sets is 0 (not NaN)") {
     val e = new ExactSim
-    assert(!e.jaccard(1L, 2L).isNaN)
+    assert(!e.estimatePair(1L, 2L)._2.isNaN)
   }
 
   test("cardinality drops to zero after full unsubscription") {

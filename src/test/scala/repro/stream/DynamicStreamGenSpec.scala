@@ -1,11 +1,13 @@
 package repro.stream
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestStreams.pairs
 
 class DynamicStreamGenSpec extends AnyFunSuite {
 
-  private val edges: IndexedSeq[(Long, Long)] =
+  private val edgePairs: IndexedSeq[(Long, Long)] =
     (for (u <- 0L until 40L; i <- 0L until 25L if (u + i) % 3 != 0) yield (u, i)).toIndexedSeq
+  private val edges = repro.TestStreams.edges(edgePairs)
 
   test("argument validation") {
     intercept[IllegalArgumentException](DynamicStreamGen.generate(edges, d = -0.1))
@@ -21,7 +23,7 @@ class DynamicStreamGenSpec extends AnyFunSuite {
     val s = DynamicStreamGen.generate(edges, d = 0.0, seed = 2)
     assert(s.length == edges.length)
     assert(s.forall(_.insert))
-    assert(s.map(e => (e.user, e.item)).toSet == edges.toSet)
+    assert(s.map(e => (e.user, e.item)).toSet == edgePairs.toSet)
   }
 
   test("d = 1, r = 0 deletes every edge exactly once") {
@@ -38,18 +40,18 @@ class DynamicStreamGenSpec extends AnyFunSuite {
     val s = DynamicStreamGen.generate(edges, d = 1.0, r = 1.0, seed = 4)
     assert(s.length == 3 * edges.length)
     val finalEdges = (for ((u, items) <- repro.TestStreams.finalSets(s).toSeq; i <- items) yield (u, i)).toSet
-    assert(finalEdges == edges.toSet)
+    assert(finalEdges == edgePairs.toSet)
   }
 
   test("deletion fraction near d/(1+d+dr) for d=r=0.5") {
-    val bigEdges = (for (u <- 0L until 200L; i <- 0L until 50L) yield (u, i)).toIndexedSeq
+    val bigEdges = repro.TestStreams.edges(for (u <- 0L until 200L; i <- 0L until 50L) yield (u, i))
     val s = DynamicStreamGen.generate(bigEdges, d = 0.5, r = 0.5, seed = 5)
     val frac = s.count(!_.insert).toDouble / s.length
     assert(math.abs(frac - 0.5 / 1.75) < 0.02, s"deletion fraction $frac")
   }
 
   test("expected stream length (1+d+dr)|E| within tolerance") {
-    val bigEdges = (for (u <- 0L until 200L; i <- 0L until 50L) yield (u, i)).toIndexedSeq
+    val bigEdges = repro.TestStreams.edges(for (u <- 0L until 200L; i <- 0L until 50L) yield (u, i))
     val s = DynamicStreamGen.generate(bigEdges, d = 0.5, r = 0.5, seed = 6)
     val expected = 1.75 * bigEdges.length
     assert(math.abs(s.length - expected) < 0.05 * expected, s"length ${s.length} vs $expected")
@@ -96,7 +98,7 @@ class DynamicStreamGenSpec extends AnyFunSuite {
   test("every base edge appears as an insertion at least once") {
     val s = DynamicStreamGen.generate(edges, d = 0.7, r = 0.5, seed = 11)
     val inserted = s.filter(_.insert).map(e => (e.user, e.item)).toSet
-    assert(edges.toSet.subsetOf(inserted))
+    assert(edgePairs.toSet.subsetOf(inserted))
   }
 
   /** The generator's first algorithm: a boxed tuple per action, a stable
@@ -121,11 +123,11 @@ class DynamicStreamGenSpec extends AnyFunSuite {
   test("same event sequence as the tuple-sorting algorithm on every seed") {
     val big = GraphGen.baseEdges(DatasetSpec.scaled(DatasetSpec.youtube, 0.05))
     for ((d, r) <- Seq((0.5, 0.5), (0.0, 0.5), (1.0, 1.0), (0.9, 0.2)); seed <- 1L to 4L) {
-      assert(DynamicStreamGen.generate(edges, d, r, seed) == generateByTuples(edges, d, r, seed), s"d=$d r=$r seed=$seed")
+      assert(DynamicStreamGen.generate(edges, d, r, seed) == generateByTuples(edgePairs, d, r, seed), s"d=$d r=$r seed=$seed")
     }
     for (seed <- Seq(7L, 1234L))
-      assert(DynamicStreamGen.generate(big, seed = seed) == generateByTuples(big, 0.5, 0.5, seed), s"seed=$seed")
-    assert(DynamicStreamGen.generate(IndexedSeq.empty, seed = 1).isEmpty)
+      assert(DynamicStreamGen.generate(big, seed = seed) == generateByTuples(pairs(big), 0.5, 0.5, seed), s"seed=$seed")
+    assert(DynamicStreamGen.generate(repro.TestStreams.edges(Nil), seed = 1).isEmpty)
   }
 
   test("the timestamp sort keeps generation order among equal timestamps") {
@@ -134,5 +136,42 @@ class DynamicStreamGenSpec extends AnyFunSuite {
     val keys  = times.map(java.lang.Double.doubleToRawLongBits)
     val order = DynamicStreamGen.sortStable(keys, times.indices.toArray, times.length)
     assert(order.toSeq == times.indices.sortBy(times(_)))
+  }
+
+  test("1, 2, 3 and 4 chunks give the same order and the same events") {
+    val rng   = new java.util.Random(10)
+    val times = Array.fill(20000)(if (rng.nextInt(5) == 0) rng.nextInt(7) / 7.0 else rng.nextDouble() + (if (rng.nextInt(9) == 0) 1e-300 else 0.0))
+    val keys  = times.map(java.lang.Double.doubleToRawLongBits)
+    val expected = times.indices.sortBy(times(_))
+    val big = GraphGen.baseEdges(DatasetSpec.scaled(DatasetSpec.flickr, 0.05))
+    val stream = DynamicStreamGen.generateInChunks(big, 0.5, 0.5, 3L, 1)
+    assert(stream == DynamicStreamGen.generate(big, seed = 3L))
+    for (chunks <- 1 to 4) {
+      val order = DynamicStreamGen.sortStable(keys, times.indices.toArray, times.length, chunks)
+      assert(order.toSeq == expected, s"chunks=$chunks")
+      assert(DynamicStreamGen.generateInChunks(big, 0.5, 0.5, 3L, chunks) == stream, s"chunks=$chunks")
+    }
+  }
+
+  /** Order-sensitive digest of a stream: every field of every event. */
+  private def checksum(events: IndexedSeq[EdgeEvent]): Long =
+    events.foldLeft(0L) { (h, e) =>
+      repro.core.Hashing.mix64(h ^ repro.core.Hashing.mix64((e.user << 32) ^ (e.item << 1) ^ (if (e.insert) 1L else 0L)) + e.time)
+    }
+
+  test("the preset streams keep their pinned length and checksum") {
+    // Values of the generator these tables were made with; a change to any
+    // dataset behind EXPERIMENTS.md must show up here first.
+    val pinned = Seq(
+      DatasetSpec.youtube                        -> ((681143, 545345853103085595L)),
+      DatasetSpec.flickr                         -> ((574020, 3231628647152269006L)),
+      DatasetSpec.orkut                          -> ((672292, 5622113005598478011L)),
+      DatasetSpec.livejournal                    -> ((663687, 9163001612591691293L)),
+      DatasetSpec.scaled(DatasetSpec.youtube, 0.1) -> ((60799, 3988379076166157912L)),
+    )
+    pinned.foreach { case (spec, (length, sum)) =>
+      val s = DynamicStreamGen.generate(GraphGen.baseEdges(spec))
+      assert((s.length, checksum(s)) == ((length, sum)), spec.toString)
+    }
   }
 }
